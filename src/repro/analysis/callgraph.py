@@ -243,8 +243,8 @@ def _scan_clobbers(graph: BlockGraph, info: FunctionInfo,
     return frozenset(clobbered)
 
 
-def compute_summaries(call_graph: CallGraph,
-                      graph: BlockGraph) -> Dict[int, FunctionSummary]:
+def compute_summaries(call_graph: CallGraph, graph: BlockGraph,
+                      telemetry=None) -> Dict[int, FunctionSummary]:
     """Bottom-up symbolic pass producing a summary per function.
 
     Solver divergence propagates (:class:`~repro.analysis.solver.
@@ -260,7 +260,7 @@ def compute_summaries(call_graph: CallGraph,
             continue
         collector = SummaryCollector()
         analyze_function(graph, info, entry_state(symbolic=True),
-                         summaries, collector)
+                         summaries, collector, telemetry)
         summaries[entry] = FunctionSummary(
             entry=entry,
             clobbered=_scan_clobbers(graph, info, summaries),

@@ -193,10 +193,11 @@ def analyze_control_flow(
         # intra-procedural layer tolerates this, the summaries cannot.
         if interproc and not graph.leaky:
             try:
-                call_graph_local = callgraph_mod.build_call_graph(graph)
-                summaries_local = callgraph_mod.compute_summaries(
-                    call_graph_local, graph
-                )
+                with tele.span("dataflow.callgraph"):
+                    call_graph_local = callgraph_mod.build_call_graph(graph)
+                    summaries_local = callgraph_mod.compute_summaries(
+                        call_graph_local, graph, tele
+                    )
                 if fault_point("analysis.callgraph"):
                     callgraph_mod._corrupt_summaries(
                         summaries_local, payload_rng().random()
@@ -210,17 +211,20 @@ def analyze_control_flow(
             except InstrumentationError as error:
                 degrade_interproc(error)
         try:
-            entry_facts = provenance_mod.compute_entry_facts(
-                graph, summaries=summaries
-            )
+            with tele.span("dataflow.provenance"):
+                entry_facts = provenance_mod.compute_entry_facts(
+                    graph, summaries=summaries
+                )
             if fault_point("analysis.facts"):
                 _corrupt_facts(entry_facts)
             if not provenance_mod.validate_facts(entry_facts):
                 raise InstrumentationError(
                     "provenance facts failed validation (corrupted solution)"
                 )
-            live_out = liveness_mod.compute_live_out(graph)
-            dominators = dominators_mod.compute_dominators(graph)
+            with tele.span("dataflow.liveness"):
+                live_out = liveness_mod.compute_live_out(graph)
+            with tele.span("dataflow.dominators"):
+                dominators = dominators_mod.compute_dominators(graph)
         except InstrumentationError as error:
             tele.count("analysis.fallbacks")
             tele.event("analysis_fallback", reason=str(error))
@@ -229,9 +233,10 @@ def analyze_control_flow(
             )
         if summaries is not None:
             try:
-                range_facts_local = ranges_mod.compute_range_facts(
-                    graph, call_graph, summaries
-                )
+                with tele.span("dataflow.ranges"):
+                    range_facts_local = ranges_mod.compute_range_facts(
+                        graph, call_graph, summaries, tele
+                    )
                 if fault_point("analysis.ranges"):
                     ranges_mod._corrupt_range_facts(
                         range_facts_local, payload_rng().random()

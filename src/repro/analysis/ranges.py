@@ -26,14 +26,19 @@ lattice (``no < maybe`` / ``yes``) records free()s so that (a) range
 elimination never drops a check guarding a possibly-freed object and
 (b) the static auditor can flag double-free paths.
 
-Termination: the join *widens* — a bound that grows between solver
-iterations is rounded outward to the next power of two (saturating to
-unbounded past 2**40), the same finite-chain trick
-``provenance._join_bound`` uses — so pointer-increment loops converge
-within the worklist budget.  Values whose bounds were widened are marked
-(``widened=True``); *must*/in-bounds verdicts remain sound on widened
-values (widening only grows intervals outward) but *may* verdicts are
-suppressed for them, keeping the auditor quiet on ordinary loops.
+Termination: the join *widens*, with a delay.  The first
+:data:`WIDEN_DELAY` (3) times a block's entry fact changes, a bound that
+grew is rounded outward to the next power of two (saturating to
+unbounded past 2**40, the finite-chain trick ``provenance._join_bound``
+uses); after that a bound that still grows jumps straight to unbounded.
+The domain has no branch refinement, so a bound still growing by then
+is in practice loop-carried and would climb to unbounded anyway; the
+jump skips that ~40-step climb, leaving at most 3 power-of-two steps per
+block.  It only moves bounds outward, so every fact stays sound.  Values whose bounds were widened
+are marked (``widened=True``); *must*/in-bounds verdicts remain sound on
+widened values (widening only grows intervals outward) but *may*
+verdicts are suppressed for them, keeping the auditor quiet on ordinary
+loops.
 
 Soundness of the facts rests on what the function summaries verify about
 the whole decoded text: callees only store through their own frame or
@@ -57,6 +62,11 @@ from repro.vm.runtime_iface import Service
 
 #: Bounds saturate to unbounded (None) past this magnitude.
 BOUND_LIMIT = 1 << 40
+
+#: Power-of-two widening steps a block's entry fact may take: once it
+#: has changed this many times, a bound that still grows jumps straight
+#: to unbounded.
+WIDEN_DELAY = 3
 
 #: ``rtcall`` services that return a fresh allocation, mapped to the
 #: argument indices whose *product* is the allocation size.
@@ -153,11 +163,13 @@ def _round_down(bound: int) -> Optional[int]:
     return None if up is None else -up
 
 
-def join_value(old: Optional[RangeVal], new: Optional[RangeVal]) -> Optional[RangeVal]:
+def join_value(old: Optional[RangeVal], new: Optional[RangeVal],
+               jump: bool = False) -> Optional[RangeVal]:
     """Widening join.  *old* is the fact already at the join point: a
     bound is kept when the new value stays inside it and rounded outward
     (powers of two, saturating to unbounded) when it grew — the finite
-    ascending chain that makes pointer-increment loops converge."""
+    ascending chain that makes pointer-increment loops converge.  With
+    *jump* a grown bound goes straight to unbounded instead."""
     if old is None or new is None:
         return None
     if old == new:
@@ -170,13 +182,13 @@ def join_value(old: Optional[RangeVal], new: Optional[RangeVal]) -> Optional[Ran
     if old.lo is None or (new.lo is not None and new.lo >= old.lo):
         lo = old.lo
     else:
-        lo = None if new.lo is None else _round_down(new.lo)
+        lo = None if jump or new.lo is None else _round_down(new.lo)
         widened = widened or lo != (min(old.lo, new.lo)
                                     if new.lo is not None else None)
     if old.hi is None or (new.hi is not None and new.hi <= old.hi):
         hi = old.hi
     else:
-        hi = None if new.hi is None else _round_up(new.hi)
+        hi = None if jump or new.hi is None else _round_up(new.hi)
         widened = widened or hi != (max(old.hi, new.hi)
                                     if new.hi is not None else None)
     if old.lo is not None and new.lo is not None:
@@ -334,9 +346,10 @@ def entry_state(symbolic: bool = False, unknown: bool = False) -> RangeState:
     return RangeState(regs=regs, freed_unknown=unknown or symbolic)
 
 
-def join_state(old: Optional[RangeState],
-               new: Optional[RangeState]) -> RangeState:
-    """Pointwise widening join; mismatched stack heights go to HAVOC."""
+def join_state(old: Optional[RangeState], new: Optional[RangeState],
+               jump: bool = False) -> RangeState:
+    """Pointwise widening join (*jump* as in :func:`join_value`);
+    mismatched stack heights go to HAVOC."""
     if old is None or new is None:
         return HAVOC
     if old.havoc or new.havoc:
@@ -345,12 +358,12 @@ def join_state(old: Optional[RangeState],
         return HAVOC
     regs: Dict[Register, RangeVal] = {}
     for register, value in old.regs.items():
-        joined = join_value(value, new.regs.get(register))
+        joined = join_value(value, new.regs.get(register), jump)
         if joined is not None:
             regs[register] = joined
     slots: Dict[int, RangeVal] = {}
     for key, value in old.slots.items():
-        joined = join_value(value, new.slots.get(key))
+        joined = join_value(value, new.slots.get(key), jump)
         if joined is not None:
             slots[key] = joined
     freed: Dict[int, str] = {}
@@ -765,19 +778,31 @@ def apply_call(state: RangeState, instruction: Instruction, summary,
 # -- the interprocedural driver ---------------------------------------------
 
 
+def widen_state(old: RangeState, new: RangeState,
+                changes: int) -> RangeState:
+    """The solver's join at a block whose entry fact already changed
+    *changes* times: power-of-two steps first, then the jump."""
+    return join_state(old, new, jump=changes >= WIDEN_DELAY)
+
+
 def analyze_function(graph, function, boundary: RangeState, summaries,
                      collector: Optional[SummaryCollector] = None,
-                     ) -> Dict[int, RangeState]:
+                     telemetry=None) -> Dict[int, RangeState]:
     """Solve one function's blocks forward from *boundary* at its entry.
 
     Other roots inside the function (indirect-entry blocks) are seeded
     with HAVOC.  Returns block-entry states for the function's members.
+    The block transfers made are counted as ``analysis.range_transfers``.
     """
     from repro.analysis import solver
+    from repro.telemetry.hub import coerce
 
     members = function.blocks
+    transfers = 0
 
     def transfer(node: int, state: RangeState) -> RangeState:
+        nonlocal transfers
+        transfers += 1
         return transfer_block(state, graph.block_at(node).instructions,
                               collector)
 
@@ -801,16 +826,18 @@ def analyze_function(graph, function, boundary: RangeState, summaries,
         direction="forward",
         boundary=HAVOC,
         transfer=transfer,
-        join=join_state,
+        widen=widen_state,
         edge=edge,
         roots=boundaries,
         boundaries=boundaries,
     )
+    coerce(telemetry).count("analysis.range_transfers", transfers)
     return {start: state for start, state in facts.items()
             if start in members and state is not None}
 
 
-def compute_range_facts(graph, call_graph, summaries) -> Dict[int, RangeState]:
+def compute_range_facts(graph, call_graph, summaries,
+                        telemetry=None) -> Dict[int, RangeState]:
     """Top-down concrete pass: block start -> entry :class:`RangeState`.
 
     Functions are visited callers-first so each callee's entry state is
@@ -836,7 +863,8 @@ def compute_range_facts(graph, call_graph, summaries) -> Dict[int, RangeState]:
             boundary = entry_state(unknown=True)
         else:
             boundary = entry_states[entry] or entry_state(unknown=True)
-        local = analyze_function(graph, function, boundary, summaries)
+        local = analyze_function(graph, function, boundary, summaries,
+                                 telemetry=telemetry)
         for start, state in local.items():
             if start in facts:
                 facts[start] = HAVOC  # shared block: ambiguous frame

@@ -21,6 +21,11 @@ boundary fact seeds.  A client supplies:
     Optional per-edge adjustment of the propagated fact (e.g. modelling
     an unknown callee's clobbers on a call fall-through edge).
 
+``widen(old, new, changes)``
+    Optional count-aware join used in place of ``join``: *changes* is
+    how many times the sink's fact has already changed, so a client can
+    delay widening and then jump (the range analysis does).
+
 The solver is monotone-framework standard: seed roots, iterate until no
 input fact changes.  A hard iteration budget turns an accidental
 non-monotone transfer into a typed error instead of a hang, and is the
@@ -51,7 +56,8 @@ def solve(
     direction: str,
     boundary: object,
     transfer: Callable[[int, object], object],
-    join: Callable[[object, object], object],
+    join: Optional[Callable[[object, object], object]] = None,
+    widen: Optional[Callable[[object, object, int], object]] = None,
     edge: Optional[Callable[[int, int, object], object]] = None,
     roots: Optional[Iterable[int]] = None,
     boundaries: Optional[Dict[int, object]] = None,
@@ -68,7 +74,8 @@ def solve(
     pass uses it to give a function entry its call-site fact while other
     roots stay at the conservative boundary.  *budget* overrides the
     iterations-per-node limit (tests pin it to exercise the divergence
-    path deterministically).
+    path deterministically).  Exactly one of *join* and *widen* is
+    required.
     """
     if direction == "forward":
         out_edges = graph.succs
@@ -76,6 +83,8 @@ def solve(
         out_edges = graph.preds
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    if (join is None) == (widen is None):
+        raise ValueError("solve needs exactly one of join and widen")
     if fault_point("analysis.fixpoint"):
         raise FixpointDiverged("injected fixpoint divergence")
 
@@ -92,6 +101,7 @@ def solve(
     worklist = sorted(root_set)
     queued = set(worklist)
     visits: Dict[int, int] = {}
+    changes: Dict[int, int] = {}
     if budget is None:
         budget = max(MAX_VISITS_PER_NODE, 2 * len(graph.blocks) + 8)
     while worklist:
@@ -110,8 +120,15 @@ def solve(
         for sink in out_edges.get(node, ()):
             propagated = edge(node, sink, out_fact) if edge else out_fact
             current = facts.get(sink)
-            merged = propagated if current is None else join(current, propagated)
+            if current is None:
+                merged = propagated
+            elif widen is None:
+                merged = join(current, propagated)
+            else:
+                merged = widen(current, propagated, changes.get(sink, 0))
             if merged != current:
+                if current is not None:
+                    changes[sink] = changes.get(sink, 0) + 1
                 facts[sink] = merged
                 if sink not in queued:
                     worklist.append(sink)

@@ -21,6 +21,7 @@ from repro.faults.injector import FaultInjector, injection
 from repro.isa.assembler import parse
 from repro.isa.registers import ARG_REGS, RBX, RCX, RDI
 from repro.rewriter import recover_control_flow
+from repro.telemetry import Telemetry
 from repro.analysis import analyze_control_flow, build_block_graph, solve
 from repro.analysis.solver import FixpointDiverged
 from repro.analysis import callgraph as callgraph_mod
@@ -166,6 +167,94 @@ class TestWideningTermination:
         new = ranges_mod.num(0, ranges_mod.BOUND_LIMIT + 1)
         joined = ranges_mod.join_value(old, new)
         assert joined.hi is None
+
+
+# ---------------------------------------------------------------------------
+# Delayed widening: power-of-two steps, then a jump to unbounded.
+# ---------------------------------------------------------------------------
+
+
+class TestWideningConvergence:
+    NESTED_LOOP = """
+    int main() {
+        int *a = malloc(800);
+        int s = 0;
+        for (int i = 0; i < 10; i = i + 1) {
+            for (int j = 0; j < 10; j = j + 1) {
+                a[i * 10 + j] = i + j;
+                s = s + a[i * 10 + j];
+            }
+        }
+        print(s);
+        free(a);
+        return 0;
+    }
+    """
+
+    @staticmethod
+    def _transfers_per_block(info, telemetry) -> float:
+        assert not info.interproc_fallback
+        blocks = sum(len(function.blocks)
+                     for function in info.callgraph.functions.values())
+        # The summary pass and the top-down pass each solve every block.
+        return telemetry.counters["analysis.range_transfers"] / (2 * blocks)
+
+    def test_pointer_loop_transfers_bounded(self):
+        telemetry = Telemetry()
+        info = analyze(TestWideningTermination.POINTER_LOOP,
+                       telemetry=telemetry)
+        # Creeping up the power-of-two chain re-transfers the loop head
+        # ~40 times; the delayed jump settles it in a handful.
+        assert self._transfers_per_block(info, telemetry) <= 4
+
+    def test_nested_counted_loop_transfers_bounded(self):
+        telemetry = Telemetry()
+        info = analyze_source(self.NESTED_LOOP, telemetry=telemetry)
+        assert self._transfers_per_block(info, telemetry) <= 4
+
+    def test_join_jumps_to_unbounded_after_delay(self):
+        old = ranges_mod.RangeState(regs={RCX: ranges_mod.num(0, 8)})
+        new = ranges_mod.RangeState(regs={RCX: ranges_mod.num(0, 24)})
+        for changes in range(ranges_mod.WIDEN_DELAY):
+            stepped = ranges_mod.widen_state(old, new, changes).regs[RCX]
+            assert stepped.hi == 32 and stepped.widened
+        jumped = ranges_mod.widen_state(old, new, ranges_mod.WIDEN_DELAY)
+        assert jumped.regs[RCX].lo == 0
+        assert jumped.regs[RCX].hi is None
+        assert jumped.regs[RCX].widened
+
+    def test_jump_keeps_bounds_that_did_not_grow(self):
+        old = ranges_mod.num(-4, 8, stride=4)
+        assert ranges_mod.join_value(old, ranges_mod.num(0, 4),
+                                     jump=True) == old
+
+    def test_solver_reports_fact_changes_to_widen(self):
+        # An exit-less loop: its head is the only join point.
+        graph = build_block_graph(recover_control_flow(build("""
+            mov %rcx, $0
+            loop:
+            add %rcx, $1
+            jmp loop
+        """)))
+        seen = []
+
+        def widen(old, new, changes):
+            seen.append(changes)
+            return max(old, new)
+
+        solve(graph, direction="forward", boundary=0,
+              transfer=lambda node, fact: min(fact + 1, 5), widen=widen)
+        # The head's fact climbs 1 -> 5, one change per join; the last
+        # join (5 with 5) changes nothing and sees all four changes.
+        assert seen == [0, 1, 2, 3, 4]
+
+    def test_solver_needs_exactly_one_join(self):
+        graph = build_block_graph(recover_control_flow(
+            build(TestSolverBudgetBoundary.LOOP)))
+        for kwargs in ({}, {"join": max, "widen": lambda a, b, n: a}):
+            with pytest.raises(ValueError):
+                solve(graph, direction="forward", boundary=0,
+                      transfer=lambda node, fact: fact, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +487,35 @@ class TestRangeElimination:
         harden = RedFat(RedFatOptions()).instrument(build(asm))
         with pytest.raises(GuestMemoryError):
             run_binary(harden.binary, harden.create_runtime())
+
+
+class TestRangeEliminationPinned:
+    """Elimination counts the delayed widening must leave unchanged."""
+
+    CVE_ELIMINATED_RANGE = {
+        "CVE-2007-3476": 2,
+        "CVE-2012-4295": 4,
+        "CVE-2016-2335": 1,
+        "CVE-2016-1903": 0,
+    }
+
+    def test_cve_cases_under_fully(self):
+        options = RedFatOptions.preset("fully")
+        eliminated = {
+            case.cve: RedFat(options).instrument(
+                case.compile().binary.strip()).stats.eliminated_range
+            for case in CVE_CASES
+        }
+        assert eliminated == self.CVE_ELIMINATED_RANGE
+
+    def test_chrome_stand_in_under_chrome_options(self):
+        from repro.bench.figure8 import CHROME_OPTIONS
+        from repro.workloads.chrome import build_chrome
+
+        harden = RedFat(CHROME_OPTIONS).instrument(
+            build_chrome().binary.strip())
+        assert harden.stats.eliminated_range == 10
+        assert harden.stats.candidates == 265
 
 
 # ---------------------------------------------------------------------------
