@@ -242,7 +242,6 @@ def run(
     telemetry: Optional[Telemetry] = None,
     engine: Optional[str] = None,
     seed: int = 1,
-    preload: Optional[str] = None,
 ) -> RunResult:
     """Execute *target* on the VM and return the :class:`RunResult`.
 
@@ -258,22 +257,10 @@ def run(
     ``"single-step"`` (the reference loop; see
     :mod:`repro.vm.superblock`) — for this run only; results are
     identical in every tier.
-
-    ``preload=`` is the deprecated pre-registry spelling of
-    ``runtime=`` and emits a :class:`DeprecationWarning`.
     """
-    import warnings
-
     from repro.runtime import registry
     from repro.vm.superblock import engine_override
 
-    if preload is not None:
-        warnings.warn(
-            "run(preload=...) is deprecated; pass runtime=<registry spec>",
-            DeprecationWarning, stacklevel=2,
-        )
-        if runtime is None:
-            runtime = preload
     program = load(target)
     environment = registry.create(
         runtime if runtime is not None else "glibc",

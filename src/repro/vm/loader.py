@@ -84,7 +84,7 @@ def load_binary(
         cache = binary._trace_cache = {}
     cpu.trace.shared_cache = cache
     if binary.has_segment(".tramp"):
-        # Always published: the traced loop attributes "checks executed"
+        # Always published: the run loop attributes "checks executed"
         # with it, and the trace tier's check fusion needs to know which
         # recorded instructions are trampoline code (vm/trace.py).
         tramp = binary.segment(".tramp")

@@ -21,7 +21,7 @@ partial architectural state left behind by a mid-block fault:
   *are* the handler (the generic fallback calls the bound method with
   the decoded instruction — the same call the dispatch loop makes);
 - blocks never span the ``.tramp`` boundary, so every block is entirely
-  trampoline code or entirely application code — the traced loop's
+  trampoline code or entirely application code — the run loop's
   "checks executed" attribution stays exact;
 - the caches are coupled: :meth:`repro.vm.cpu.CPU.flush_icache` clears
   the superblock cache together with the decode cache, because step
@@ -29,9 +29,9 @@ partial architectural state left behind by a mid-block fault:
 
 Degradation: the ``vm.superblock`` fault point fires at translation
 time (low frequency, off the per-instruction hot path).  When it fires
-the engine latches itself off for the rest of the run — the CPU falls
-back to the single-step loop, never crashes — and the run is accounted
-as DEGRADED by the fault campaign.  Because the trace tier
+the engine latches itself off for the rest of the run — the run loop
+falls back to its single-step branch, never crashes — and the run is
+accounted as DEGRADED by the fault campaign.  Because the trace tier
 (:mod:`repro.vm.trace`) compiles stitched superblocks, degrading this
 engine also latches the trace tier off: the full degradation ladder is
 trace → superblock → single-step, with the single-step oracle at the
@@ -74,7 +74,7 @@ TERMINATORS = frozenset({
 #: Opcodes the coverage hook records edges for: real control transfers
 #: that redirect ``rip``.  TRAP/RTCALL end a block (runtime boundary)
 #: but fall through, so they are not coverage edges — keeping the edge
-#: definition identical between the single-step and superblock loops.
+#: definition identical between the single-step and superblock tiers.
 TRANSFER_OPCODES = frozenset({
     Opcode.JMP, Opcode.CALL, Opcode.JMPR, Opcode.CALLR, Opcode.RET,
     Opcode.JE, Opcode.JNE, Opcode.JL, Opcode.JLE, Opcode.JG, Opcode.JGE,
@@ -156,9 +156,9 @@ class Superblock:
         self.in_trampoline = in_trampoline
         #: Address of the block's final instruction when that instruction
         #: is a control transfer (:data:`TRANSFER_OPCODES`), else None.
-        #: The coverage loop records ``(last_transfer, rip-after-block)``
-        #: edges from it — the exact edge the single-step loop records
-        #: when the same transfer retires.
+        #: The run loop records ``(last_transfer, rip-after-block)``
+        #: coverage edges from it — the exact edge single-stepping
+        #: records when the same transfer retires.
         self.last_transfer = last_transfer
 
     def retired_before(self, rip: int) -> int:
@@ -198,7 +198,7 @@ class SuperblockEngine:
     def degrade(self, reason: str) -> None:
         """Latch the engine off for the rest of this CPU's lifetime.
 
-        The run loop falls back to single-step execution — identical
+        The run loop falls back to its single-step branch — identical
         semantics, just slower — and telemetry/the fault campaign see
         the run as degraded, never crashed.  The trace tier sits on top
         of this one (its traces stitch superblocks), so degrading here

@@ -1,11 +1,11 @@
-"""The runtime registry, spec grammar, and the ``preload=`` shims.
+"""The runtime registry and its spec grammar.
 
 The registry is the single entry point every layer uses to pick a
 runtime (API, CLI, farm, service, shootout), so its contract gets its
 own suite: name/alias resolution, the ``name:key=val,...`` spec grammar
-with option coercion, the typed :class:`UnknownRuntimeError`, the
-deprecated ``preload=`` spellings, and the service's journal-compatible
-``runtime`` job field.
+with option coercion, the typed :class:`UnknownRuntimeError`,
+``create_runtime``'s runtime selection, and the service's
+journal-compatible ``runtime`` job field.
 """
 
 import pytest
@@ -118,36 +118,13 @@ class TestCreate:
             registry.create("banana:seed=1")
 
 
-# -- the deprecated preload= spellings ---------------------------------------
+# -- create_runtime's runtime selection ---------------------------------------
 
 
-class TestPreloadShims:
+class TestCreateRuntime:
     @pytest.fixture(scope="class")
-    def program(self):
-        return compile_source(SOURCE)
-
-    @pytest.fixture(scope="class")
-    def hardened(self, program):
-        return api.harden(program.binary.strip())
-
-    def test_api_run_preload_warns_but_works(self, program):
-        with pytest.warns(DeprecationWarning, match="preload"):
-            result = api.run(program, args=[4], preload="glibc")
-        assert result.status == 0
-
-    def test_api_run_runtime_wins_over_preload(self, program):
-        with pytest.warns(DeprecationWarning):
-            result = api.run(program, args=[4], runtime="glibc",
-                             preload="banana")  # ignored, never resolved
-        assert result.status == 0
-
-    def test_create_runtime_preload_warns_and_maps(self, hardened):
-        with pytest.warns(DeprecationWarning, match="preload"):
-            runtime = hardened.create_runtime(mode="log",
-                                              preload="s2malloc:seed=5")
-        assert isinstance(runtime, S2MallocRuntime)
-        assert runtime.seed == 5
-        assert runtime.site_resolver is not None
+    def hardened(self):
+        return api.harden(compile_source(SOURCE).binary.strip())
 
     def test_create_runtime_defaults_to_redfat(self, hardened):
         runtime = hardened.create_runtime(mode="log")

@@ -18,6 +18,7 @@ from repro.errors import GuestMemoryError, VMTimeoutError
 from repro.faults.campaign import DEGRADED, compile_campaign_program, run_campaign
 from repro.telemetry.hub import Telemetry
 from repro.vm.superblock import (
+    ENGINE_NAMES,
     MAX_BLOCK,
     SuperblockEngine,
     default_enabled,
@@ -212,26 +213,29 @@ def _run_with_coverage(program, engine, binary=None, make_runtime=None,
 
 
 class TestCoverageHookEquivalence:
-    """The hunt coverage hook (cpu.coverage) is engine-invariant: both
-    loops must retire the same transfers, so the maps are identical —
-    the contract repro.hunt's mutation guidance is built on."""
+    """The hunt coverage hook (cpu.coverage) is engine-invariant: every
+    engine must retire the same transfers, so the maps are identical to
+    the single-step map — the contract repro.hunt's mutation guidance is
+    built on."""
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_plain_guest_identical_maps(self, name):
         program = compile_source(PROGRAMS[name])
-        fast = _run_with_coverage(program, "superblock")
-        reference = _run_with_coverage(program, "single-step")
-        assert fast == reference
-        assert fast[3], "expected a non-empty edge map"
+        results = [_run_with_coverage(program, engine)
+                   for engine in ENGINE_NAMES]
+        assert results == [results[-1]] * len(ENGINE_NAMES)
+        assert results[0][3], "expected a non-empty edge map"
 
     def test_coverage_loop_matches_default_loop(self):
         """Attaching a map must not perturb execution itself."""
         program = compile_source(PROGRAMS["branchy"])
-        covered = _run_with_coverage(program, "superblock")
-        plain = program.run()
-        assert covered[0] == plain.status
-        assert covered[1] == plain.instructions
-        assert covered[2] == tuple(plain.output)
+        for engine in ENGINE_NAMES:
+            covered = _run_with_coverage(program, engine)
+            with engine_override(engine):
+                plain = program.run()
+            assert covered[0] == plain.status
+            assert covered[1] == plain.instructions
+            assert covered[2] == tuple(plain.output)
 
     @pytest.mark.parametrize("preset", ["unoptimized", "fully"])
     def test_hardened_log_mode_identical_maps(self, preset):
@@ -246,12 +250,12 @@ class TestCoverageHookEquivalence:
                 make_runtime=lambda: harden.create_runtime(mode="log"),
                 args=case.malicious_args,
             )
-            for engine in ("superblock", "single-step")
+            for engine in ENGINE_NAMES
         ]
-        assert results[0] == results[1]
+        assert results == [results[-1]] * len(ENGINE_NAMES)
 
     def test_mid_run_fault_identical_maps(self):
-        """A faulting transfer never retires: no edge in either engine."""
+        """A faulting transfer never retires: no edge in any engine."""
         case = generate_cases(1)[0]
         program = case.compile()
         harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
@@ -261,37 +265,63 @@ class TestCoverageHookEquivalence:
                 make_runtime=lambda: harden.create_runtime(mode="abort"),
                 args=case.malicious_args,
             )
-            for engine in ("superblock", "single-step")
+            for engine in ENGINE_NAMES
         ]
-        assert results[0] == results[1]
+        assert results == [results[-1]] * len(ENGINE_NAMES)
         assert "GuestMemoryError" in str(results[0][0])
 
     @pytest.mark.parametrize("fuel", [7, MAX_BLOCK, 500])
     def test_fuel_truncated_identical_maps(self, fuel):
         program = compile_source(PROGRAMS["alu-loop"])
-        fast = _run_with_coverage(program, "superblock", fuel=fuel)
-        reference = _run_with_coverage(program, "single-step", fuel=fuel)
-        assert fast == reference
+        results = [_run_with_coverage(program, engine, fuel=fuel)
+                   for engine in ENGINE_NAMES]
+        assert results == [results[-1]] * len(ENGINE_NAMES)
 
 
 class TestTracedLoop:
     def test_telemetry_counters_identical(self):
-        program = compile_source(PROGRAMS["branchy"])
-        harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
-        counters = []
-        for engine in ("superblock", "single-step"):
+        """The vm.* counters equal the single-step ones under every
+        engine, with a (no-op) access hook installed, and with a coverage
+        map attached next to the hub — also when a check aborts the run
+        mid-trampoline."""
+        from repro.hunt.coverage import CoverageMap
+        from repro.vm.loader import load_binary
+
+        def counters(guest, engine, observer=None):
+            program, harden, args, mode = guest
             telemetry = Telemetry()
-            runtime = harden.create_runtime(mode="log")
+            runtime = harden.create_runtime(mode=mode)
             with engine_override(engine):
-                program.run(binary=harden.binary, runtime=runtime,
-                            telemetry=telemetry)
-            counters.append((
-                telemetry.counters.get("vm.instructions_retired"),
-                telemetry.counters.get("vm.checks_executed"),
-                telemetry.counters.get("vm.fuel_consumed"),
-            ))
-        assert counters[0] == counters[1]
-        assert counters[0][0] > 0
+                cpu = load_binary(harden.binary, runtime, telemetry=telemetry)
+            program.poke_args(cpu, list(args))
+            if observer == "access_hook":
+                cpu.access_hook = lambda *access: None
+            elif observer == "coverage":
+                cpu.coverage = CoverageMap()
+            try:
+                cpu.run()
+            except GuestMemoryError:
+                assert mode == "abort"
+            return tuple(
+                telemetry.counters.get(name)
+                for name in ("vm.instructions_retired", "vm.checks_executed",
+                             "vm.fuel_consumed")
+            )
+
+        case = generate_cases(1)[0]
+        guests = [(compile_source(PROGRAMS[name]), (), "log")
+                  for name in ("branchy", "heap")]
+        guests.append((case.compile(), case.malicious_args, "abort"))
+        for program, args, mode in guests:
+            harden = RedFat(RedFatOptions()).instrument(program.binary.strip())
+            guest = (program, harden, args, mode)
+            reference = counters(guest, "single-step")
+            assert reference[0] > 0
+            for engine in ENGINE_NAMES:
+                for observer in (None, "access_hook", "coverage"):
+                    assert counters(guest, engine, observer) == reference, (
+                        mode, engine, observer)
+        assert reference[1] > 0, "the aborting guest executes checks"
 
 
 class TestEngineControls:
