@@ -139,6 +139,23 @@ SETCC_CONDITIONS = {
     Opcode.SETAE: "ae",
 }
 
+#: Flag predicates over ``(zf, sf, cf, of)``, by condition name: what
+#: the conditional jumps and ``set<cc>`` test at run time.
+FLAG_PREDICATES = {
+    "e": lambda zf, sf, cf, of: zf,
+    "ne": lambda zf, sf, cf, of: not zf,
+    "l": lambda zf, sf, cf, of: sf != of,
+    "le": lambda zf, sf, cf, of: zf or sf != of,
+    "g": lambda zf, sf, cf, of: not zf and sf == of,
+    "ge": lambda zf, sf, cf, of: sf == of,
+    "b": lambda zf, sf, cf, of: cf,
+    "be": lambda zf, sf, cf, of: cf or zf,
+    "a": lambda zf, sf, cf, of: not cf and not zf,
+    "ae": lambda zf, sf, cf, of: not cf,
+    "s": lambda zf, sf, cf, of: sf,
+    "ns": lambda zf, sf, cf, of: not sf,
+}
+
 #: Fixed-layout opcodes: opcode byte only.
 BARE_OPCODES = frozenset({Opcode.RET, Opcode.NOP, Opcode.PUSHF, Opcode.POPF})
 

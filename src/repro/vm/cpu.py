@@ -2,19 +2,32 @@
 
 Design notes:
 
-- Instructions are decoded once per address and cached; rewritten binaries
-  are static (no self-modifying code — the same restriction E9Patch has),
-  so the decode cache only invalidates on an explicit
-  :meth:`CPU.flush_icache` (which also drops the superblock cache built
-  on top of it).
+- Instructions are decoded once per address and cached in ``icache``;
+  rewritten binaries are static (no self-modifying code — the same
+  restriction E9Patch has), so within one CPU the decode cache only
+  invalidates on an explicit :meth:`CPU.flush_icache` (which also drops
+  the superblock and trace caches built on top of it).
+- Across runs, an ``icache`` miss first consults the per-binary
+  ``decode_cache`` the loader installs (it rides on the
+  :class:`~repro.binfmt.binary.Binary`, next to the trace cache).  An
+  entry holds the exact bytes its decode consumed and is reused only
+  while guest memory at fetch time still holds those bytes.  Decoding
+  is a pure function of those bytes and the address, so reuse is exact
+  even when a bit flip, a truncated load or the guest itself changed
+  the code; it saves the re-decode that used to dominate a short run's
+  start-up.  With a telemetry hub attached, ``vm.decodes`` counts fresh
+  decodes and ``vm.decodes_reused`` cache hits.
 - Execution is tiered (DESIGN.md §9).  The *superblock* tier runs
   straight-line runs of decoded instructions pre-translated into fused
   step closures (:mod:`repro.vm.superblock`); the *trace* tier above it
   profiles taken back-edges and compiles hot loops into exec-generated
   Python functions with guarded side exits (:mod:`repro.vm.trace`).
-  Both tiers are bit-identical to the single-step branch — the
-  semantics oracle at the bottom of the ladder; :meth:`CPU.run`, the
-  one run loop, falls down the ladder when a DBI ``access_hook`` is
+  A block start is translated on its second visit only: the first runs
+  on the single-step branch up to the block's terminator, so code that
+  runs once per run (most of a short run's code) never pays for
+  translation.  Both tiers are bit-identical to the single-step branch
+  — the semantics oracle at the bottom of the ladder; :meth:`CPU.run`,
+  the one run loop, falls down the ladder when a DBI ``access_hook`` is
   installed, when the remaining watchdog fuel cannot cover a whole
   block/iteration, or when the ``vm.trace`` / ``vm.superblock`` fault
   points degrade a tier (trace degradation lands on superblocks;
@@ -42,50 +55,21 @@ from typing import Callable, Dict, Optional
 from repro.errors import EncodingError, GuestExit, VMError, VMFault, VMTimeoutError
 from repro.isa.encoding import decode
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import (
+    CONDITION_CODES, FLAG_PREDICATES, SETCC_CONDITIONS, Opcode,
+)
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import RSP, Register
 from repro.vm.memory import Memory
 from repro.vm.runtime_iface import RuntimeEnvironment
-from repro.vm.superblock import TRANSFER_OPCODES, SuperblockEngine
+from repro.vm.superblock import (
+    TERMINATORS, TRANSFER_OPCODES, SuperblockEngine, _signed,
+)
 from repro.vm.trace import TraceEngine
 
 _M64 = (1 << 64) - 1
 _SIGN = 1 << 63
 _RIP = Register.RIP
-
-#: Condition predicates over (zf, sf, cf, of).
-_CONDITIONS: Dict[str, Callable] = {
-    "e": lambda zf, sf, cf, of: zf,
-    "ne": lambda zf, sf, cf, of: not zf,
-    "l": lambda zf, sf, cf, of: sf != of,
-    "le": lambda zf, sf, cf, of: zf or sf != of,
-    "g": lambda zf, sf, cf, of: not zf and sf == of,
-    "ge": lambda zf, sf, cf, of: sf == of,
-    "b": lambda zf, sf, cf, of: cf,
-    "be": lambda zf, sf, cf, of: cf or zf,
-    "a": lambda zf, sf, cf, of: not cf and not zf,
-    "ae": lambda zf, sf, cf, of: not cf,
-    "s": lambda zf, sf, cf, of: sf,
-    "ns": lambda zf, sf, cf, of: not sf,
-}
-
-_JCC = {
-    Opcode.JE: "e", Opcode.JNE: "ne", Opcode.JL: "l", Opcode.JLE: "le",
-    Opcode.JG: "g", Opcode.JGE: "ge", Opcode.JB: "b", Opcode.JBE: "be",
-    Opcode.JA: "a", Opcode.JAE: "ae", Opcode.JS: "s", Opcode.JNS: "ns",
-}
-
-_SETCC = {
-    Opcode.SETE: "e", Opcode.SETNE: "ne", Opcode.SETL: "l", Opcode.SETLE: "le",
-    Opcode.SETG: "g", Opcode.SETGE: "ge", Opcode.SETB: "b", Opcode.SETBE: "be",
-    Opcode.SETA: "a", Opcode.SETAE: "ae",
-}
-
-
-def _signed(value: int) -> int:
-    return value - (1 << 64) if value & _SIGN else value
-
 
 class CPU:
     """One hardware thread executing guest code."""
@@ -102,6 +86,11 @@ class CPU:
         self.instructions_executed = 0
         self.exit_status: Optional[int] = None
         self.icache: Dict[int, Instruction] = {}
+        #: The per-binary decode cache (installed by the loader; None for
+        #: a bare CPU): address -> ``(code bytes, Instruction)``, shared
+        #: by every run of one image.  :meth:`_decode_at` reuses an entry
+        #: only while guest memory still holds exactly those bytes.
+        self.decode_cache: Optional[Dict[int, tuple]] = None
         #: Optional observer: fn(address, size, is_read, is_write, instruction).
         self.access_hook = None
         #: Optional coverage collector (an object with ``edge(src, dst)``,
@@ -135,6 +124,15 @@ class CPU:
     # -- fetch/decode -------------------------------------------------------
 
     def _decode_at(self, address: int) -> Instruction:
+        shared = self.decode_cache
+        tele = self.telemetry
+        if shared is not None:
+            entry = shared.get(address)
+            if entry is not None and self.memory.holds(address, entry[0]):
+                instruction = self.icache[address] = entry[1]
+                if tele is not None:
+                    tele.count("vm.decodes_reused")
+                return instruction
         window = self.memory.read_upto(address, 16)
         if not window:
             raise VMFault(address, f"wild fetch at {address:#x}")
@@ -147,6 +145,10 @@ class CPU:
                 f"undecodable instruction at {address:#x}: {error}"
             ) from error
         self.icache[address] = instruction
+        if shared is not None:
+            shared[address] = (window[: instruction.length], instruction)
+        if tele is not None:
+            tele.count("vm.decodes")
         return instruction
 
     def flush_icache(self) -> None:
@@ -350,7 +352,7 @@ class CPU:
         self._set_zs(result)
 
     def _exec_setcc(self, instruction: Instruction) -> None:
-        condition = _CONDITIONS[_SETCC[instruction.opcode]]
+        condition = FLAG_PREDICATES[SETCC_CONDITIONS[instruction.opcode]]
         self.regs[instruction.operands[0].reg] = (
             1 if condition(self.zf, self.sf, self.cf, self.of) else 0
         )
@@ -379,7 +381,7 @@ class CPU:
         ) & _M64
 
     def _exec_jcc(self, instruction: Instruction) -> None:
-        condition = _CONDITIONS[_JCC[instruction.opcode]]
+        condition = FLAG_PREDICATES[CONDITION_CODES[instruction.opcode]]
         if condition(self.zf, self.sf, self.cf, self.of):
             self.rip = (
                 instruction.address + instruction.length + instruction.operands[0].value
@@ -442,9 +444,9 @@ class CPU:
             Opcode.SHL, Opcode.SHR, Opcode.SAR,
         ):
             table[opcode] = self._exec_alu
-        for opcode in _JCC:
+        for opcode in CONDITION_CODES:
             table[opcode] = self._exec_jcc
-        for opcode in _SETCC:
+        for opcode in SETCC_CONDITIONS:
             table[opcode] = self._exec_setcc
         return table
 
@@ -478,9 +480,11 @@ class CPU:
         tier, then the superblock tier, then the single-step branch —
         the semantics oracle, the same fetch/dispatch/retire as
         :meth:`step` — which also runs whatever a tier cannot: a block
-        or trace iteration that would overrun the fuel (so the watchdog
-        fires at the same instruction under every engine), and the rest
-        of the run once a tier degrades (DESIGN.md §5f, §9).  Mid-block
+        start's first visit (``cold``, up to its terminator; the start
+        is translated when it is reached again), a block or trace
+        iteration that would overrun the fuel (so the watchdog fires at
+        the same instruction under every engine), and the rest of the
+        run once a tier degrades (DESIGN.md §5f, §9).  Mid-block
         and mid-trace exceptions account exactly the instructions that
         retired, via :meth:`Superblock.retired_before` and
         ``_trace_pending``.
@@ -504,6 +508,8 @@ class CPU:
         span = self.trampoline_span
         tramp_start, tramp_end = span if span is not None else (0, 0)
         cache = engine.cache
+        visited = engine.visited
+        cold = False  # single-stepping a block start's first visit
         traces = tengine.traces
         icache = self.icache
         dispatch = self._dispatch
@@ -515,7 +521,7 @@ class CPU:
         try:
             while executed < max_instructions:
                 rip = self.rip
-                if fast:
+                if fast and not cold:
                     if use_traces:
                         trace = traces.get(rip)
                         if (trace is not None
@@ -534,9 +540,13 @@ class CPU:
                             continue
                     block = cache.get(rip)
                     if block is None:
-                        block = engine.translate(rip)
-                        if block is None:
-                            fast = False  # engine degraded mid-run
+                        if rip in visited:
+                            block = engine.translate(rip)
+                            if block is None:
+                                fast = False  # engine degraded mid-run
+                        else:
+                            visited.add(rip)
+                            cold = True
                     if (block is not None
                             and executed + block.length <= max_instructions):
                         try:
@@ -582,6 +592,8 @@ class CPU:
                         checks += 1  # the raising check was dispatched
                     raise
                 executed += 1
+                if cold and instruction.opcode in TERMINATORS:
+                    cold = False
                 if observed:
                     if tramp_start <= rip < tramp_end:
                         checks += 1

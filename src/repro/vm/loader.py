@@ -8,6 +8,7 @@ terminates the VM with its return value as the exit status, mirroring crt0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.errors import LoaderError
@@ -27,6 +28,7 @@ from repro.vm.runtime_iface import RuntimeEnvironment, Service
 EXIT_STUB_ADDR = 0x2000
 
 
+@lru_cache(maxsize=None)
 def _exit_stub_code() -> bytes:
     items = [
         Instruction(Opcode.MOV, (Reg(RDI), Reg(RAX))),
@@ -76,13 +78,19 @@ def load_binary(
     cpu = CPU(memory, runtime)
     if telemetry is not None:
         cpu.telemetry = telemetry
-    # The cross-run trace cache rides on the Binary object: every run of
-    # the same image revives its compiled traces (after byte-verifying
-    # the code they cover) instead of re-recording them (vm/trace.py).
+    # The cross-run caches ride on the Binary object: every run of the
+    # same image reuses its decoded instructions and revives its compiled
+    # traces, each only after byte-verifying the code it covers against
+    # guest memory, instead of decoding and re-recording them
+    # (vm/cpu.py, vm/trace.py).  Neither is serialized by to_bytes().
     cache = getattr(binary, "_trace_cache", None)
     if cache is None:
         cache = binary._trace_cache = {}
     cpu.trace.shared_cache = cache
+    decodes = getattr(binary, "_decode_cache", None)
+    if decodes is None:
+        decodes = binary._decode_cache = {}
+    cpu.decode_cache = decodes
     if binary.has_segment(".tramp"):
         # Always published: the run loop attributes "checks executed"
         # with it, and the trace tier's check fusion needs to know which

@@ -4,11 +4,21 @@ A 64-bit address space backed by a dict of 4 KiB pages.  Pages must be
 explicitly mapped (by the loader or an allocator runtime) before access;
 touching an unmapped page raises :class:`~repro.errors.VMFault`, the
 moral equivalent of SIGSEGV.
+
+Mapping is copy-on-write from one shared, immutable zero page, the way
+an OS maps anonymous memory: :meth:`Memory.map_range` points every new
+page at :data:`_ZERO_PAGE`, and the first write to it (through
+:meth:`Memory.write` or the :meth:`Memory.write_int` fast path) swaps in
+a private ``bytearray``.  A guest's 8 MiB stack therefore costs a dict
+entry per page until it is touched.  Reads cannot tell the difference,
+and a page counts as mapped either way, so :meth:`Memory.is_mapped`,
+:meth:`Memory.mapped_bytes` and :meth:`Memory.mapped_page_indices` are
+unchanged by it.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Union
 
 from repro.errors import VMFault
 
@@ -17,6 +27,10 @@ _PAGE_SHIFT = 12
 _PAGE_MASK = PAGE_SIZE - 1
 _M64 = (1 << 64) - 1
 
+#: The shared backing of every mapped page not yet written.  Immutable
+#: (``bytes``), so no write can reach it: writers replace it first.
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
 
 class Memory:
     """Sparse byte-addressable memory with page-granular mapping."""
@@ -24,7 +38,9 @@ class Memory:
     __slots__ = ("_pages",)
 
     def __init__(self) -> None:
-        self._pages: Dict[int, bytearray] = {}
+        #: Page index -> backing: :data:`_ZERO_PAGE` until first written,
+        #: then a private ``bytearray``.
+        self._pages: Dict[int, Union[bytes, bytearray]] = {}
 
     # -- mapping ----------------------------------------------------------
 
@@ -37,7 +53,7 @@ class Memory:
         pages = self._pages
         for page_index in range(first, last + 1):
             if page_index not in pages:
-                pages[page_index] = bytearray(PAGE_SIZE)
+                pages[page_index] = _ZERO_PAGE
 
     def unmap_range(self, address: int, size: int) -> None:
         """Unmap all pages fully covered by [address, address+size)."""
@@ -66,6 +82,10 @@ class Memory:
             backing = pages.get(first_dst + index)
             if backing is None:
                 raise VMFault((first_dst + index) << _PAGE_SHIFT)
+            if backing is _ZERO_PAGE:
+                # Sharing the zero page would not alias: the first write
+                # through either side would privatize only that side.
+                backing = pages[first_dst + index] = bytearray(PAGE_SIZE)
             pages[first_src + index] = backing
 
     def is_mapped(self, address: int, size: int = 1) -> bool:
@@ -111,17 +131,22 @@ class Memory:
         page_index = address >> _PAGE_SHIFT
         offset = address & _PAGE_MASK
         size = len(data)
-        page = self._pages.get(page_index)
+        pages = self._pages
+        page = pages.get(page_index)
         if page is None:
             raise VMFault(address)
         if offset + size <= PAGE_SIZE:
+            if page is _ZERO_PAGE:
+                page = pages[page_index] = bytearray(PAGE_SIZE)
             page[offset : offset + size] = data
             return
         written = 0
         while written < size:
-            page = self._pages.get(page_index)
+            page = pages.get(page_index)
             if page is None:
                 raise VMFault(page_index << _PAGE_SHIFT)
+            if page is _ZERO_PAGE:
+                page = pages[page_index] = bytearray(PAGE_SIZE)
             chunk = min(size - written, PAGE_SIZE - offset)
             page[offset : offset + chunk] = data[written : written + chunk]
             written += chunk
@@ -151,6 +176,19 @@ class Memory:
             offset = 0
         return bytes(out)
 
+    def holds(self, address: int, data: bytes) -> bool:
+        """Whether ``read_upto(address, len(data)) == data`` for non-empty
+        *data*: the range is mapped and holds exactly those bytes.  This
+        is how cached decodes and traces are verified against guest
+        memory before reuse."""
+        address &= _M64
+        offset = address & _PAGE_MASK
+        end = offset + len(data)
+        if end <= PAGE_SIZE:
+            page = self._pages.get(address >> _PAGE_SHIFT)
+            return page is not None and page[offset:end] == data
+        return self.read_upto(address, len(data)) == data
+
     # -- integer access ------------------------------------------------------------
 
     def read_int(self, address: int, size: int, signed: bool = False) -> int:
@@ -175,6 +213,10 @@ class Memory:
         if offset + size <= PAGE_SIZE:
             page = self._pages.get(address >> _PAGE_SHIFT)
             if page is not None:
+                if page is _ZERO_PAGE:
+                    page = self._pages[address >> _PAGE_SHIFT] = bytearray(
+                        PAGE_SIZE
+                    )
                 page[offset : offset + size] = (value & mask).to_bytes(
                     size, "little"
                 )

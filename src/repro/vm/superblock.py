@@ -50,13 +50,20 @@ from typing import List, Optional, Tuple
 
 from repro.errors import VMError
 from repro.faults.injector import fault_point
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import (
+    CONDITION_CODES, FLAG_PREDICATES, SETCC_CONDITIONS, Opcode,
+)
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import RSP, Register
 
 _M64 = (1 << 64) - 1
 _SIGN = 1 << 63
 _RIP = Register.RIP
+
+
+def _signed(value: int) -> int:
+    return value - (1 << 64) if value & _SIGN else value
+
 
 #: A block never grows past this many instructions; long straight-line
 #: runs split into chained blocks (the cap bounds translation latency
@@ -180,12 +187,16 @@ class Superblock:
 class SuperblockEngine:
     """Per-CPU translation cache + degradation latch."""
 
-    __slots__ = ("cpu", "cache", "enabled", "degraded", "degraded_reason",
-                 "translations")
+    __slots__ = ("cpu", "cache", "visited", "enabled", "degraded",
+                 "degraded_reason", "translations")
 
     def __init__(self, cpu, enabled: Optional[bool] = None) -> None:
         self.cpu = cpu
         self.cache = {}
+        #: Block starts reached once and single-stepped; the run loop
+        #: translates a start on its second visit, so code that runs
+        #: once never pays for translation.
+        self.visited = set()
         self.enabled = default_enabled() if enabled is None else enabled
         self.degraded = False
         self.degraded_reason = ""
@@ -194,6 +205,7 @@ class SuperblockEngine:
     def invalidate(self) -> None:
         """Drop every translated block (call when decoded code changes)."""
         self.cache.clear()
+        self.visited.clear()
 
     def degrade(self, reason: str) -> None:
         """Latch the engine off for the rest of this CPU's lifetime.
@@ -334,8 +346,6 @@ def _read_thunk(cpu, instruction, operand, size):
 
 
 def _specialize(cpu, instruction):  # noqa: C901 - one big opcode switch
-    from repro.vm.cpu import _CONDITIONS, _JCC, _SETCC, _signed
-
     opcode = instruction.opcode
     operands = instruction.operands
     size = instruction.size
@@ -418,7 +428,7 @@ def _specialize(cpu, instruction):  # noqa: C901 - one big opcode switch
             load_b = lambda: value  # noqa: E731
         else:
             return None  # memory source: generic handler (hookable path)
-        return _ALU_SPECIALIZERS[opcode](cpu, regs, dst.reg, load_b, _signed)
+        return _ALU_SPECIALIZERS[opcode](cpu, regs, dst.reg, load_b)
 
     if opcode is Opcode.CMP:
         dst, src = operands
@@ -471,8 +481,8 @@ def _specialize(cpu, instruction):  # noqa: C901 - one big opcode switch
             cpu.sf = bool(result & _SIGN)
         return step
 
-    if opcode in _SETCC:
-        condition = _CONDITIONS[_SETCC[opcode]]
+    if opcode in SETCC_CONDITIONS:
+        condition = FLAG_PREDICATES[SETCC_CONDITIONS[opcode]]
         r = operands[0].reg
 
         def step(_):
@@ -527,8 +537,8 @@ def _specialize(cpu, instruction):  # noqa: C901 - one big opcode switch
             cpu.rip = target
         return step
 
-    if opcode in _JCC:
-        condition = _CONDITIONS[_JCC[opcode]]
+    if opcode in CONDITION_CODES:
+        condition = FLAG_PREDICATES[CONDITION_CODES[opcode]]
         target = (
             instruction.address + instruction.length + operands[0].value
         ) & _M64
@@ -582,7 +592,7 @@ def _specialize(cpu, instruction):  # noqa: C901 - one big opcode switch
     return None
 
 
-def _spec_add(cpu, regs, d, load_b, _signed):
+def _spec_add(cpu, regs, d, load_b):
     def step(_):
         a = regs[d]
         b = load_b()
@@ -595,7 +605,7 @@ def _spec_add(cpu, regs, d, load_b, _signed):
     return step
 
 
-def _spec_sub(cpu, regs, d, load_b, _signed):
+def _spec_sub(cpu, regs, d, load_b):
     def step(_):
         a = regs[d]
         b = load_b()
@@ -609,7 +619,7 @@ def _spec_sub(cpu, regs, d, load_b, _signed):
 
 
 def _spec_logic(operator):
-    def make(cpu, regs, d, load_b, _signed):
+    def make(cpu, regs, d, load_b):
         def step(_):
             result = operator(regs[d], load_b())
             regs[d] = result
@@ -621,7 +631,7 @@ def _spec_logic(operator):
     return make
 
 
-def _spec_imul(cpu, regs, d, load_b, _signed):
+def _spec_imul(cpu, regs, d, load_b):
     def step(_):
         result = (_signed(regs[d]) * _signed(load_b())) & _M64
         regs[d] = result
@@ -634,9 +644,9 @@ def _spec_imul(cpu, regs, d, load_b, _signed):
 def _spec_shift(operator):
     # SHL/SHR/SAR update only zf/sf (cf/of keep their prior values),
     # mirroring ``CPU._alu``.
-    def make(cpu, regs, d, load_b, _signed):
+    def make(cpu, regs, d, load_b):
         def step(_):
-            result = operator(regs[d], load_b() & 63, _signed)
+            result = operator(regs[d], load_b() & 63)
             regs[d] = result
             cpu.zf = result == 0
             cpu.sf = bool(result & _SIGN)
@@ -651,9 +661,7 @@ _ALU_SPECIALIZERS = {
     Opcode.OR: _spec_logic(lambda a, b: a | b),
     Opcode.XOR: _spec_logic(lambda a, b: a ^ b),
     Opcode.IMUL: _spec_imul,
-    Opcode.SHL: _spec_shift(lambda a, count, _signed: (a << count) & _M64),
-    Opcode.SHR: _spec_shift(lambda a, count, _signed: a >> count),
-    Opcode.SAR: _spec_shift(
-        lambda a, count, _signed: (_signed(a) >> count) & _M64
-    ),
+    Opcode.SHL: _spec_shift(lambda a, count: (a << count) & _M64),
+    Opcode.SHR: _spec_shift(lambda a, count: a >> count),
+    Opcode.SAR: _spec_shift(lambda a, count: (_signed(a) >> count) & _M64),
 }

@@ -162,9 +162,9 @@ _FUSABLE = frozenset({
 }) | frozenset(_JCC_EXPR) | frozenset(_SETCC_EXPR)
 
 #: Which flags each opcode *consumes* — exact, per flag, matching
-#: ``repro.vm.cpu._CONDITIONS``.  A flag consumed before the span
-#: defines it is a span input and gets guarded against its recorded
-#: entry value.
+#: ``repro.isa.opcodes.FLAG_PREDICATES``.  A flag consumed before the
+#: span defines it is a span input and gets guarded against its
+#: recorded entry value.
 _COND_READS = {Opcode.PUSHF: ("zf", "sf", "cf", "of")}
 for _ops, _flags in (
     ((Opcode.JE, Opcode.JNE, Opcode.SETE, Opcode.SETNE), ("zf",)),
@@ -400,13 +400,8 @@ class TraceEngine:
         if cached is None:
             self.blacklist.add(anchor)
             return True
-        read = self.cpu.memory.read
-        try:
-            for address, data in cached.code_spans:
-                if read(address, len(data)) != data:
-                    del cache[anchor]
-                    return False
-        except VMFault:
+        holds = self.cpu.memory.holds
+        if not all(holds(address, data) for address, data in cached.code_spans):
             del cache[anchor]
             return False
         glb: dict = {"M": _M64, "S": _SIGN, "sg": _signed,
