@@ -1,8 +1,8 @@
 """Flow-sensitive dataflow analyses over the recovered CFG.
 
 A reusable worklist fixpoint solver (:mod:`repro.analysis.solver`) over
-block successor/predecessor edges (:mod:`repro.analysis.graph`), with
-three client analyses feeding the instrumentation pipeline:
+block successor/predecessor edges (:mod:`repro.analysis.graph`), and
+its client analyses:
 
 - :mod:`repro.analysis.provenance` — per-register pointer-provenance
   lattice; justifies flow-sensitive check elimination (operands whose
@@ -10,8 +10,8 @@ three client analyses feeding the instrumentation pipeline:
 - :mod:`repro.analysis.liveness` — global register+flags liveness,
   replacing the everything-live-at-block-boundary assumption in
   trampoline specialization;
-- :mod:`repro.analysis.dominators` — intra-procedural dominators and
-  dominated-redundancy removal for identical checked accesses;
+- :mod:`repro.analysis.dominators` — intra-procedural dominators,
+  printed by ``redfat analyze`` (no elimination pass consumes them);
 - :mod:`repro.analysis.callgraph` — call-graph recovery with bottom-up
   per-function summaries (clobbers, frees, store targets, symbolic
   returns);

@@ -19,6 +19,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.analysis.dominators import compute_dominators
 from repro.analysis.engine import DataflowInfo
 from repro.analysis.liveness import FLAGS
 from repro.isa.registers import Register
@@ -65,6 +66,7 @@ def render_dataflow(info: DataflowInfo, sites: bool = False) -> List[str]:
     classifications = {}
     if sites:
         classifications = _classify_sites(info)
+    dominators = {} if info.fallback else compute_dominators(graph)
     for block in graph.blocks:
         start = block.start
         flags = []
@@ -78,7 +80,7 @@ def render_dataflow(info: DataflowInfo, sites: bool = False) -> List[str]:
         succs = ", ".join(f"{s:#x}" for s in graph.succs.get(start, ()))
         preds = ", ".join(f"{p:#x}" for p in graph.preds.get(start, ()))
         lines.append(f"  succs: {succs or '(none)'}   preds: {preds or '(none)'}")
-        dom = info.dominators.get(start)
+        dom = dominators.get(start)
         if dom is not None:
             others = sorted(d for d in dom if d != start)
             lines.append(

@@ -1,8 +1,9 @@
 """The dataflow driver: one call produces every fact the pipeline uses.
 
-:func:`analyze_control_flow` builds the block graph and runs the three
-client analyses (provenance, liveness, dominators) to fixpoint,
-returning a :class:`DataflowInfo` bundle.  The bundle is *optional*
+:func:`analyze_control_flow` builds the block graph and runs the client
+analyses (provenance and liveness, plus the interprocedural call-graph
+and range layer unless disabled) to fixpoint, returning a
+:class:`DataflowInfo` bundle.  The bundle is *optional*
 everywhere it is consumed: when an analysis fails — a genuine solver
 bug, or the ``analysis.fixpoint`` / ``analysis.facts`` fault points
 exercising that path — the bundle degrades to ``fallback=True`` and the
@@ -16,14 +17,13 @@ classifies such runs as DEGRADED rather than silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, Optional
 
 from repro.errors import InstrumentationError
 from repro.faults.injector import fault_point, payload_rng
 from repro.isa.registers import RSP
 from repro.rewriter.cfg import BasicBlock, ControlFlowInfo
 from repro.analysis import callgraph as callgraph_mod
-from repro.analysis import dominators as dominators_mod
 from repro.analysis import liveness as liveness_mod
 from repro.analysis import provenance as provenance_mod
 from repro.analysis import ranges as ranges_mod
@@ -39,8 +39,6 @@ class DataflowInfo:
     entry_facts: Dict[int, provenance_mod.RegFacts] = field(default_factory=dict)
     #: block start -> effective live-out (registers + FLAGS sentinel).
     live_out: Dict[int, FrozenSet] = field(default_factory=dict)
-    #: block start -> dominating block starts (reflexive).
-    dominators: Dict[int, FrozenSet[int]] = field(default_factory=dict)
     #: True when the analyses failed and consumers must use the
     #: syntactic/block-local fallbacks.
     fallback: bool = False
@@ -134,15 +132,6 @@ class DataflowInfo:
                 return None
         return None
 
-    def dominated_redundant(self, sites: List) -> Set[int]:
-        """Addresses of candidate sites whose check a dominating,
-        identical, kept check already performs."""
-        if self.fallback or not self.dominators:
-            return set()
-        return dominators_mod.find_dominated_redundant(
-            self.graph, self.dominators, sites
-        )
-
 
 def _corrupt_facts(entry_facts: Dict[int, provenance_mod.RegFacts]) -> None:
     """The ``analysis.facts`` payload: smash one block's solution.
@@ -223,8 +212,6 @@ def analyze_control_flow(
                 )
             with tele.span("dataflow.liveness"):
                 live_out = liveness_mod.compute_live_out(graph)
-            with tele.span("dataflow.dominators"):
-                dominators = dominators_mod.compute_dominators(graph)
         except InstrumentationError as error:
             tele.count("analysis.fallbacks")
             tele.event("analysis_fallback", reason=str(error))
@@ -256,7 +243,6 @@ def analyze_control_flow(
         graph=graph,
         entry_facts=entry_facts,
         live_out=live_out,
-        dominators=dominators,
         callgraph=call_graph,
         summaries=summaries,
         range_facts=range_facts,

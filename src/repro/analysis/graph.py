@@ -25,7 +25,7 @@ their most conservative boundary fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List
 
 from repro.isa.opcodes import Opcode
 from repro.rewriter.cfg import BasicBlock, ControlFlowInfo
@@ -56,28 +56,6 @@ class BlockGraph:
         """The block whose first instruction sits at *start* (KeyError
         for any other address — block starts are the only valid keys)."""
         return self.control_flow.block_of[start]
-
-    def reachable_between(self, source: int, sink: int) -> Set[int]:
-        """Blocks on some ``source -> sink`` path, excluding both ends.
-
-        Used by dominated-redundancy removal: every intermediate block an
-        execution may traverse between two sites is the intersection of
-        what *source* reaches and what reaches *sink*.
-        """
-        forward = self._flood(source, self.succs)
-        backward = self._flood(sink, self.preds)
-        return (forward & backward) - {source, sink}
-
-    def _flood(self, start: int, edges: Dict[int, List[int]]) -> Set[int]:
-        seen: Set[int] = set()
-        frontier = list(edges.get(start, ()))
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(edges.get(node, ()))
-        return seen
 
 
 def build_block_graph(control_flow: ControlFlowInfo) -> BlockGraph:

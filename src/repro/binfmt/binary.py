@@ -90,6 +90,16 @@ class Binary:
         clone.symbols = None
         return clone
 
+    def __getstate__(self) -> dict:
+        """Pickle the image only: the VM loader hangs per-object run
+        caches on it (``_trace_cache`` holds compiled code objects,
+        ``_decode_cache`` decoded instructions, see ``vm/loader.py``),
+        and those are rebuilt by the next run anyway."""
+        state = dict(self.__dict__)
+        state.pop("_trace_cache", None)
+        state.pop("_decode_cache", None)
+        return state
+
     def copy(self) -> "Binary":
         clone = Binary(entry=self.entry, binary_type=self.binary_type)
         clone.segments = [

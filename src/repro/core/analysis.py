@@ -14,14 +14,14 @@ Operands with an index register always survive elimination: the index is
 unbounded and could carry an access anywhere (exactly the attacker-
 controlled non-incremental case).
 
-On top of the syntactic rule, two flow-sensitive elimination passes run
+On top of the syntactic rule, two dataflow-driven elimination passes run
 when a :class:`~repro.analysis.engine.DataflowInfo` bundle is supplied:
 provenance-based elimination (``options.flow_elim``) drops operands whose
-base register provably derives from a non-heap anchor, and
-dominated-redundancy removal (``options.dominated_elim``) drops checks an
-identical dominating check already performs.  Both count separately from
-the syntactic rule (``eliminated_provenance`` / ``eliminated_dominated``)
-so Table 1 can attribute the wins.
+base register provably derives from a non-heap anchor, and range-based
+elimination (``options.interproc_elim``) drops constant-offset accesses
+provably inside a known-size, provably-unfreed allocation.  Both count
+separately from the syntactic rule (``eliminated_provenance`` /
+``eliminated_range``) so Table 1 can attribute the wins.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ class AnalysisStats:
     #: the syntactic rule keeps but whose base register provably derives
     #: from a non-heap anchor.
     eliminated_provenance: int = 0
-    #: Checks dropped because an identical dominating check (no
-    #: intervening clobber/call) already performs them.
-    eliminated_dominated: int = 0
     #: Checks dropped by the interprocedural value-range analysis —
     #: constant-offset accesses provably inside a known-size,
     #: provably-unfreed allocation.
@@ -108,7 +105,6 @@ class AnalysisStats:
             "skipped_reads": self.skipped_reads,
             "eliminated": self.eliminated,
             "eliminated_provenance": self.eliminated_provenance,
-            "eliminated_dominated": self.eliminated_dominated,
             "eliminated_range": self.eliminated_range,
             "candidates": self.candidates,
             "degraded_sites": self.degraded_sites,
@@ -123,7 +119,6 @@ class AnalysisStats:
         return {
             "syntactic": self.eliminated,
             "provenance": self.eliminated_provenance,
-            "dominated": self.eliminated_dominated,
             "range": self.eliminated_range,
         }
 
@@ -205,10 +200,5 @@ def find_candidate_sites(
             stats.eliminated_range += 1
             continue
         sites.append(CheckSite(instruction, mem, is_read, is_write, width))
-    if options.dominated_elim and dataflow is not None:
-        redundant = dataflow.dominated_redundant(sites)
-        if redundant:
-            sites = [site for site in sites if site.address not in redundant]
-            stats.eliminated_dominated = len(redundant)
     stats.candidates = len(sites)
     return sites, stats

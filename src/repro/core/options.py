@@ -22,8 +22,7 @@ OPTIONS_SCHEMA_VERSION = 1
 PRESETS: Dict[str, Dict[str, object]] = {
     "unoptimized": dict(
         elim=False, batch=False, merge=False, specialize_registers=False,
-        flow_elim=False, dominated_elim=False, global_liveness=False,
-        interproc_elim=False,
+        flow_elim=False, global_liveness=False, interproc_elim=False,
     ),
     "+elim": dict(batch=False, merge=False, specialize_registers=False,
                   global_liveness=False),
@@ -60,10 +59,6 @@ class RedFatOptions:
     #: superset of the syntactic ``elim`` rule; counted separately
     #: (``checks.eliminated_provenance``).
     flow_elim: bool = True
-
-    #: Dominated-redundancy removal: drop a check dominated by an
-    #: identical kept check with no intervening operand clobber or call.
-    dominated_elim: bool = True
 
     #: Interprocedural value-range elimination: drop checks on constant-
     #: offset accesses provably inside a known-size, provably-unfreed

@@ -163,8 +163,8 @@ class RedFat:
         with tele.span("instrument", profile=options.profile_mode):
             control_flow = recover_control_flow(binary, telemetry=tele)
             dataflow = None
-            if (options.flow_elim or options.dominated_elim
-                    or options.global_liveness or options.interproc_elim):
+            if (options.flow_elim or options.global_liveness
+                    or options.interproc_elim):
                 dataflow = analyze_control_flow(
                     control_flow, telemetry=tele,
                     interproc=options.interproc_elim,
@@ -182,8 +182,6 @@ class RedFat:
             tele.count("checks.eliminated", stats.eliminated)
             tele.count("checks.eliminated_provenance",
                        stats.eliminated_provenance)
-            tele.count("checks.eliminated_dominated",
-                       stats.eliminated_dominated)
             tele.count("checks.eliminated_range", stats.eliminated_range)
             tele.count("liveness.spills_avoided", 0)
             tele.count("checks.batched",

@@ -20,7 +20,6 @@ TABLE1_COUNTERS = [
     ("checks.inserted", "checks inserted"),
     ("checks.eliminated", "checks eliminated (syntactic)"),
     ("checks.eliminated_provenance", "checks eliminated (provenance)"),
-    ("checks.eliminated_dominated", "checks eliminated (dominated)"),
     ("checks.batched", "checks batched away"),
     ("checks.merged", "checks merged away"),
     ("liveness.spills_avoided", "spills avoided"),

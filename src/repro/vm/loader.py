@@ -93,8 +93,8 @@ def load_binary(
     cpu.decode_cache = decodes
     if binary.has_segment(".tramp"):
         # Always published: the run loop attributes "checks executed"
-        # with it, and the trace tier's check fusion needs to know which
-        # recorded instructions are trampoline code (vm/trace.py).
+        # with it, and the trace tier counts the trampoline instructions
+        # of each recorded iteration the same way (vm/trace.py).
         tramp = binary.segment(".tramp")
         cpu.trampoline_span = (
             tramp.vaddr + rebase, tramp.vaddr + rebase + len(tramp.data)

@@ -51,31 +51,6 @@ architectural state left behind by a mid-trace fault:
   the superblock/single-step tiers then walk up to the budget, so
   :class:`~repro.errors.VMTimeoutError` fires at exactly the same
   instruction under every engine.
-- **check fusion** (dynamic dominated-check elimination): a maximal
-  straight-line run of trampoline ("check") instructions inside a
-  trace is *fused*: the compiled code guards the span's inputs — the
-  registers and flags it reads before writing them, the memory words
-  it loaded (the SIZES table and redzone SIZE words) and the
-  mappedness of the words it stores — against their recorded values
-  and, when they match, applies the recorded final effects (register
-  and flag results, memory writes) without re-executing the span.
-  Save/restore traffic inside the span does not defeat fusion: a
-  ``push``/``pop`` pair that provably only parks a caller register in
-  a private stack slot (the *transparent pair* analysis in
-  :func:`_transparent_pairs`) is replayed symbolically — the save
-  writes the register's *live* entry value, the restore is a no-op —
-  so loop-varying scratch registers never become guard inputs; a
-  ``pushf``/``popf`` bracket is trimmed off the span's head and tail
-  for the same reason.  Soundness is the dominated-redundancy argument
-  of the static eliminator (``analysis/dominators``) carried across
-  block boundaries at run time: in the unrolled loop, iteration *k*'s
-  check execution dominates iteration *k+1*'s, and the guard proves
-  the dominated instance reads the same inputs, so — checks being
-  deterministic and effect-closed — it must write the same outputs
-  and take the same trap-free path.  A guard miss falls through to
-  the unoptimized span body in the same function; instruction
-  accounting is identical either way, so fusion is unobservable
-  except in time.
 - **cross-run cache**: compiled traces are keyed by anchor address in
   a dict riding on the :class:`~repro.binfmt.binary.Binary` object
   (installed by ``vm/loader.py``), so a second run of the same image
@@ -105,7 +80,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.errors import VMFault
 from repro.faults.injector import fault_point
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm, Mem, Reg
@@ -124,9 +98,6 @@ HOT_THRESHOLD = 12
 #: exception accounting packs the intra-iteration position into 16 bits.
 MAX_TRACE = 512
 
-#: Minimum length of a trampoline span worth fusing.
-MIN_FUSE_SPAN = 4
-
 #: Condition expressions over the flag locals, by conditional opcode.
 _JCC_EXPR = {
     Opcode.JE: "zf", Opcode.JNE: "not zf",
@@ -144,52 +115,6 @@ _SETCC_EXPR = {
     Opcode.SETB: "cf", Opcode.SETBE: "(cf or zf)",
     Opcode.SETA: "(not cf and not zf)", Opcode.SETAE: "not cf",
 }
-
-#: Opcodes a fused span may contain: deterministic over (registers,
-#: flags, loaded words) with effects the compiler can capture — register
-#: writes, flag writes and memory writes (replayed byte-for-byte under
-#: the guard).  No runtime boundary (``trap``/``rtcall``), no transfer
-#: that could leave the span (``call``/``ret``/indirects).  DIV/MOD are
-#: included: with guarded inputs a recorded trap-free execution cannot
-#: start dividing by zero.
-_FUSABLE = frozenset({
-    Opcode.MOV, Opcode.MOVS, Opcode.LEA, Opcode.NOP,
-    Opcode.PUSH, Opcode.POP, Opcode.PUSHF, Opcode.POPF,
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.IMUL, Opcode.SHL, Opcode.SHR, Opcode.SAR,
-    Opcode.DIV, Opcode.MOD, Opcode.IDIV, Opcode.IMOD,
-    Opcode.CMP, Opcode.TEST, Opcode.NOT, Opcode.NEG, Opcode.JMP,
-}) | frozenset(_JCC_EXPR) | frozenset(_SETCC_EXPR)
-
-#: Which flags each opcode *consumes* — exact, per flag, matching
-#: ``repro.isa.opcodes.FLAG_PREDICATES``.  A flag consumed before the
-#: span defines it is a span input and gets guarded against its
-#: recorded entry value.
-_COND_READS = {Opcode.PUSHF: ("zf", "sf", "cf", "of")}
-for _ops, _flags in (
-    ((Opcode.JE, Opcode.JNE, Opcode.SETE, Opcode.SETNE), ("zf",)),
-    ((Opcode.JL, Opcode.JGE, Opcode.SETL, Opcode.SETGE), ("sf", "of")),
-    ((Opcode.JLE, Opcode.JG, Opcode.SETLE, Opcode.SETG), ("zf", "sf", "of")),
-    ((Opcode.JB, Opcode.JAE, Opcode.SETB, Opcode.SETAE), ("cf",)),
-    ((Opcode.JBE, Opcode.JA, Opcode.SETBE, Opcode.SETA), ("cf", "zf")),
-    ((Opcode.JS, Opcode.JNS), ("sf",)),
-):
-    for _op in _ops:
-        _COND_READS[_op] = _flags
-
-#: Which flags each opcode *defines* — exact, per flag, matching the
-#: handlers in :mod:`repro.vm.cpu` (``writes_flags()`` is too coarse
-#: here: shifts and divisions preserve cf/of, ``neg`` preserves of,
-#: ``not`` touches nothing).
-_FLAG_WRITES = {}
-for _op in (Opcode.ADD, Opcode.SUB, Opcode.CMP, Opcode.AND, Opcode.OR,
-            Opcode.XOR, Opcode.TEST, Opcode.IMUL):
-    _FLAG_WRITES[_op] = ("zf", "sf", "cf", "of")
-for _op in (Opcode.SHL, Opcode.SHR, Opcode.SAR,
-            Opcode.DIV, Opcode.MOD, Opcode.IDIV, Opcode.IMOD):
-    _FLAG_WRITES[_op] = ("zf", "sf")
-_FLAG_WRITES[Opcode.NEG] = ("zf", "sf", "cf")
-_FLAG_WRITES[Opcode.POPF] = ("zf", "sf", "cf", "of")
 
 _ALU_INLINE = frozenset({
     Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
@@ -216,29 +141,6 @@ class TraceEntry:
         self.in_tramp = in_tramp
 
 
-class FusedSpan:
-    """One fusable trampoline span ``entries[start:end)`` plus the
-    recorded guard inputs and final effects (see the module docstring's
-    check-fusion contract)."""
-
-    __slots__ = ("start", "end", "guard_regs", "guard_flags", "guard_reads",
-                 "guard_mapped", "reg_effects", "flag_effects",
-                 "write_effects")
-
-    def __init__(self, start, end, guard_regs, guard_flags, guard_reads,
-                 guard_mapped, reg_effects, flag_effects,
-                 write_effects) -> None:
-        self.start = start
-        self.end = end
-        self.guard_regs = guard_regs      # [(reg_index, recorded value)]
-        self.guard_flags = guard_flags    # [(flag name, recorded bool)]
-        self.guard_reads = guard_reads    # [(address, size, recorded word)]
-        self.guard_mapped = guard_mapped  # [(address, size)] probe-only
-        self.reg_effects = reg_effects    # [(reg_index, final value)]
-        self.flag_effects = flag_effects  # [(flag name, final bool)]
-        self.write_effects = write_effects  # [(address, size, final word)]
-
-
 class Trace:
     """One compiled loop trace.
 
@@ -252,16 +154,15 @@ class Trace:
     a fresh CPU without re-recording.
     """
 
-    __slots__ = ("anchor", "fn", "length", "checks", "fused_spans", "source",
-                 "code", "generics")
+    __slots__ = ("anchor", "fn", "length", "checks", "source", "code",
+                 "generics")
 
-    def __init__(self, anchor, fn, length, checks, fused_spans, source,
-                 code=None, generics=()) -> None:
+    def __init__(self, anchor, fn, length, checks, source, code=None,
+                 generics=()) -> None:
         self.anchor = anchor
         self.fn = fn
         self.length = length
         self.checks = checks
-        self.fused_spans = fused_spans
         self.source = source
         self.code = code
         self.generics = generics
@@ -280,15 +181,14 @@ class CachedTrace:
     re-validate all data-dependent behaviour at run time anyway.
     """
 
-    __slots__ = ("code", "length", "checks", "fused_spans", "source",
-                 "code_spans", "generics")
+    __slots__ = ("code", "length", "checks", "source", "code_spans",
+                 "generics")
 
-    def __init__(self, code, length, checks, fused_spans, source,
-                 code_spans, generics) -> None:
+    def __init__(self, code, length, checks, source, code_spans,
+                 generics) -> None:
         self.code = code
         self.length = length
         self.checks = checks
-        self.fused_spans = fused_spans
         self.source = source
         self.code_spans = code_spans  # [(address, encoded bytes)]
         self.generics = generics      # [(entry index, instruction)]
@@ -299,8 +199,7 @@ class TraceEngine:
 
     __slots__ = ("cpu", "traces", "counters", "blacklist", "enabled",
                  "degraded", "degraded_reason", "recordings", "compiled",
-                 "aborted", "fusion_spans", "fusion_hits", "shared_cache",
-                 "revived")
+                 "aborted", "shared_cache", "revived")
 
     def __init__(self, cpu, enabled: Optional[bool] = None) -> None:
         from repro.vm.superblock import default_engine
@@ -315,8 +214,6 @@ class TraceEngine:
         self.recordings = 0
         self.compiled = 0
         self.aborted = 0
-        self.fusion_spans = 0
-        self.fusion_hits = 0
         #: Per-binary cross-run cache (installed by the loader); None
         #: when the CPU was built without a Binary (unit tests).
         self.shared_cache: Optional[Dict[int, CachedTrace]] = None
@@ -353,8 +250,6 @@ class TraceEngine:
             "compiled": self.compiled,
             "revived": self.revived,
             "aborted": self.aborted,
-            "fusion_spans": self.fusion_spans,
-            "fusion_hits": self.fusion_hits,
             "degraded": self.degraded,
         }
 
@@ -404,19 +299,17 @@ class TraceEngine:
         if not all(holds(address, data) for address, data in cached.code_spans):
             del cache[anchor]
             return False
-        glb: dict = {"M": _M64, "S": _SIGN, "sg": _signed,
-                     "VMFault": VMFault, "E": self}
+        glb: dict = {"M": _M64, "S": _SIGN, "sg": _signed}
         dispatch = self.cpu._dispatch
         for j, instruction in cached.generics:
             glb[f"h{j}"] = dispatch[instruction.opcode]
             glb[f"i{j}"] = instruction
         exec(cached.code, glb)  # re-binds f to this CPU's globals
         self.traces[anchor] = Trace(
-            anchor, glb["f"], cached.length, cached.checks,
-            cached.fused_spans, cached.source, cached.code, cached.generics,
+            anchor, glb["f"], cached.length, cached.checks, cached.source,
+            cached.code, cached.generics,
         )
         self.revived += 1
-        self.fusion_spans += cached.fused_spans
         tele = self.cpu.telemetry
         if tele is not None:
             tele.count("vm.traces_revived")
@@ -446,28 +339,10 @@ class TraceEngine:
         span = cpu.trampoline_span
         tramp_start, tramp_end = span if span is not None else (0, 0)
         entries: List[TraceEntry] = []
-        reads: Dict[int, list] = {}
-        writes: Dict[int, list] = {}
-        pending_writes: List[tuple] = []
-        snapshots: List[tuple] = []
         code_lengths: Dict[int, int] = {}  # rip -> encoding length
-        current = [0]
-        read_int = memory.read_int
-
-        def hook(address, size, is_read, is_write, _instruction):
-            if is_read:
-                reads.setdefault(current[0], []).append(
-                    (address, size, read_int(address, size))
-                )
-            if is_write:
-                # The value is not known yet (the hook fires before the
-                # store); the record loop reads it back after dispatch.
-                pending_writes.append((current[0], address, size))
-
         retired = 0
         checks = 0
         closed = False
-        cpu.access_hook = hook
         try:
             while retired < fuel and len(entries) < MAX_TRACE:
                 rip = cpu.rip
@@ -479,39 +354,12 @@ class TraceEngine:
                     instruction = cpu._decode_at(rip)
                 code_lengths[rip] = instruction.length
                 in_tramp = tramp_start <= rip < tramp_end
-                # Snapshot the architectural state before every entry:
-                # fusion reads sub-span entry/exit values from here (one
-                # recorded iteration, so the copies are cheap and bounded
-                # by MAX_TRACE).
-                snapshots.append(
-                    (list(cpu.regs), (cpu.zf, cpu.sf, cpu.cf, cpu.of))
-                )
                 if in_tramp:
                     checks += 1
-                index = current[0] = len(entries)
                 after = rip + instruction.length
-                rsp_before = cpu.regs[RSP]
                 cpu.rip = after
                 dispatch[instruction.opcode](instruction)
                 retired += 1
-                if pending_writes:
-                    for j, address, size in pending_writes:
-                        writes.setdefault(j, []).append(
-                            (address, size, read_int(address, size))
-                        )
-                    pending_writes.clear()
-                opcode = instruction.opcode
-                if opcode is Opcode.PUSH or opcode is Opcode.PUSHF:
-                    # Stack traffic bypasses the access hook; capture it
-                    # here so fusion sees the save/restore bytes.
-                    address = cpu.regs[RSP]
-                    writes.setdefault(index, []).append(
-                        (address, 8, read_int(address, 8))
-                    )
-                elif opcode is Opcode.POP or opcode is Opcode.POPF:
-                    reads.setdefault(index, []).append(
-                        (rsp_before, 8, read_int(rsp_before, 8))
-                    )
                 entries.append(
                     TraceEntry(instruction, after, cpu.rip, in_tramp)
                 )
@@ -519,30 +367,23 @@ class TraceEngine:
             cpu._trace_pending = retired
             cpu._trace_pending_checks = checks
             raise
-        finally:
-            cpu.access_hook = None
         if not closed:
             self.blacklist.add(anchor)
             self.aborted += 1
             if self.shared_cache is not None:
                 self.shared_cache[anchor] = None  # remembered abort
             return retired, checks
-        snapshots.append(
-            (list(cpu.regs), (cpu.zf, cpu.sf, cpu.cf, cpu.of))
-        )
         trace = None
         try:
-            trace = _compile(self, anchor, entries, reads, writes, snapshots)
+            trace = _compile(self, anchor, entries)
         except Exception as error:  # a codegen bug must degrade, not crash
             self.degrade(f"trace compilation failed: {error}")
         if trace is not None:
             self.traces[anchor] = trace
             self.compiled += 1
-            self.fusion_spans += trace.fused_spans
             if self.shared_cache is not None:
                 self.shared_cache[anchor] = CachedTrace(
-                    trace.code, trace.length, trace.checks,
-                    trace.fused_spans, trace.source,
+                    trace.code, trace.length, trace.checks, trace.source,
                     [(rip, memory.read(rip, length))
                      for rip, length in code_lengths.items()],
                     trace.generics,
@@ -553,239 +394,6 @@ class TraceEngine:
         else:
             self.blacklist.add(anchor)
         return retired, checks
-
-
-# -- check fusion ------------------------------------------------------------
-
-
-def _transparent_pairs(entries, reads, writes, start, end):
-    """Detect *transparent save/restore pairs* within ``[start, end)``.
-
-    A trampoline saves every scratch register it clobbers, and those
-    registers hold live, loop-varying application values — guarding
-    their entry values would make the fused guard miss on every
-    iteration even though the check verdict never depends on them.  A
-    PUSH at *i* and its matching POP at *k* (same stack slot, same
-    register ``R``) form a transparent pair when:
-
-    * no other instruction in the span reads ``R`` (the saved value
-      only flows through the slot and back), and nothing before the
-      PUSH writes ``R`` (the pushed word is the span-entry value);
-    * no other captured access in ``(i, k)`` touches the slot.
-
-    For such a pair the compiled fast path replays the save
-    symbolically — ``wr(slot, regs[R])`` — and treats the restore as a
-    no-op, so neither ``R`` nor the slot's entry bytes appear in the
-    guard.  If nothing after *k* writes ``R``, its (varying) exit value
-    is simply "unchanged" and drops out of the constant effects too.
-
-    Returns ``(sym_push, skip_pop, exempt_regs, unchanged_regs)``:
-    the symbolic-write map ``push idx -> register``, the POP indices
-    whose slot read must not be guarded, registers exempt from the
-    input guard, and registers whose reg-effect must be dropped.
-    """
-    sym_push: Dict[int, int] = {}
-    skip_pop: Set[int] = set()
-    exempt_regs: Set[int] = set()
-    unchanged_regs: Set[int] = set()
-    open_pushes = []  # (idx, reg, slot address)
-    for idx in range(start, end):
-        instruction = entries[idx].instruction
-        opcode = instruction.opcode
-        if opcode in (Opcode.PUSH, Opcode.PUSHF):
-            captured = writes.get(idx)
-            reg = None
-            if opcode is Opcode.PUSH and captured:
-                operand = instruction.operands[0]
-                if isinstance(operand, Reg):
-                    reg = operand.reg
-            open_pushes.append((idx, reg, captured[0][0] if captured else None))
-        elif opcode in (Opcode.POP, Opcode.POPF):
-            if not open_pushes:
-                continue
-            push_idx, reg, slot = open_pushes.pop()
-            captured = reads.get(idx)
-            if (opcode is not Opcode.POP or reg is None or slot is None
-                    or not captured or captured[0][0] != slot):
-                continue
-            operand = instruction.operands[0]
-            if not isinstance(operand, Reg) or operand.reg is not reg:
-                continue
-            if reg is RSP:
-                continue
-            # The pushed word must be the span-entry value, and that
-            # value must never flow anywhere but through the slot: track
-            # whether R currently holds a span-computed ("defined")
-            # value — reads of a redefined R are harmless, reads of the
-            # entry value (including after the POP restores it)
-            # disqualify the pair.
-            ok = True
-            defined = False
-            post_write = False
-            for j in range(start, end):
-                if j == push_idx:
-                    continue
-                if j == idx:
-                    defined = False  # the restore
-                    continue
-                other = entries[j].instruction
-                if j < push_idx:
-                    if (reg in other.regs_read()
-                            or reg in other.regs_written()):
-                        ok = False
-                        break
-                    continue
-                if not defined and reg in other.regs_read():
-                    ok = False
-                    break
-                if reg in other.regs_written():
-                    defined = True
-                    if j > idx:
-                        post_write = True
-            if ok:
-                # The slot must be private to the pair between save and
-                # restore (captured traffic includes PUSH/POP words).
-                for j in range(push_idx + 1, idx):
-                    for address, size, _value in reads.get(j, ()):
-                        if address < slot + 8 and slot < address + size:
-                            ok = False
-                    for address, size, _value in writes.get(j, ()):
-                        if address < slot + 8 and slot < address + size:
-                            ok = False
-                    if not ok:
-                        break
-            if not ok:
-                continue
-            sym_push[push_idx] = int(reg)
-            skip_pop.add(idx)
-            exempt_regs.add(reg)
-            if not post_write:
-                unchanged_regs.add(reg)
-    return sym_push, skip_pop, exempt_regs, unchanged_regs
-
-
-def _find_spans(entries, reads, writes, snapshots) -> List[FusedSpan]:
-    """Identify the fusable trampoline spans of a recorded trace.
-
-    A span qualifies when every instruction is in :data:`_FUSABLE`.  A
-    flag consumed before the span itself defines it (PUSHF, or an early
-    conditional) is a span *input*, guarded against its recorded entry
-    value just like an input register; the tracking is per-flag because
-    shifts/divisions define only zf/sf.  Its recorded
-    effects — final register values, the flags it defined, and every
-    memory write's final bytes — become constants the compiled code
-    replays when the guard matches; flags the span never defined keep
-    the live locals untouched.  See the module docstring for the
-    soundness argument.
-    """
-    spans: List[FusedSpan] = []
-    n = len(entries)
-    j = 0
-    while j < n:
-        if not entries[j].in_tramp:
-            j += 1
-            continue
-        start = j
-        while j < n and entries[j].in_tramp:
-            j += 1
-        end = j
-        # Trim the span tail: the displaced application access (the very
-        # instruction the check protects — its address and data vary per
-        # iteration, which would defeat the value guard) and the jump
-        # back to the patched site gain nothing from fusion anyway; the
-        # save/check/restore prefix is the invariant-friendly part.
-        # POPF is trimmed with the tail — and PUSHF off the head — so the
-        # flag save/restore bracket executes live: PUSHF's stored word is
-        # the entry flags, which vary across loop iterations and would
-        # otherwise force a near-always-missing flag guard.
-        while end > start:
-            tail = entries[end - 1].instruction
-            if tail.opcode in (Opcode.JMP, Opcode.POPF) or (
-                tail.memory_operand() is not None
-                and tail.opcode not in (Opcode.PUSH, Opcode.POP)
-            ):
-                end -= 1
-            else:
-                break
-        while start < end and entries[start].instruction.opcode is Opcode.PUSHF:
-            start += 1
-        if end - start < MIN_FUSE_SPAN:
-            continue
-        sym_push, skip_pop, exempt_regs, unchanged_regs = _transparent_pairs(
-            entries, reads, writes, start, end
-        )
-        ok = True
-        written_flags: Set[str] = set()
-        input_flags: List[str] = []
-        input_regs: List[int] = []
-        written_regs: Set[int] = set()
-        for idx in range(start, end):
-            instruction = entries[idx].instruction
-            opcode = instruction.opcode
-            if opcode not in _FUSABLE:
-                ok = False
-                break
-            for flag in _COND_READS.get(opcode, ()):
-                if flag not in written_flags and flag not in input_flags:
-                    input_flags.append(flag)
-            for reg in instruction.regs_read():
-                if reg is _RIP or reg in exempt_regs:
-                    continue
-                if reg not in written_regs and reg not in input_regs:
-                    input_regs.append(reg)
-            written_regs.update(
-                reg for reg in instruction.regs_written() if reg is not _RIP
-            )
-            written_flags.update(_FLAG_WRITES.get(opcode, ()))
-        if not ok:
-            continue
-        entry_regs, entry_flags = snapshots[start]
-        exit_regs, exit_flags = snapshots[end]
-        guard_reads: List[tuple] = []
-        write_effects: List[tuple] = []
-        seen = set()
-        for idx in range(start, end):
-            if idx not in skip_pop:
-                for address, size, value in reads.get(idx, ()):
-                    key = (address, size)
-                    if key not in seen:
-                        seen.add(key)
-                        guard_reads.append((address, size, value))
-            if idx in sym_push:
-                address, size, _value = writes[idx][0]
-                write_effects.append((address, size, ("reg", sym_push[idx])))
-            else:
-                write_effects.extend(writes.get(idx, ()))
-        # Replayed writes must not be able to fault half-way through the
-        # (skipped) span: probe any written word the read guard does not
-        # already prove mapped.
-        guard_mapped = []
-        for address, size, _value in write_effects:
-            key = (address, size)
-            if key not in seen:
-                seen.add(key)
-                guard_mapped.append((address, size))
-        flag_names = ("zf", "sf", "cf", "of")
-        flag_effects = [
-            (name, exit_flags[flag_names.index(name)])
-            for name in flag_names if name in written_flags
-        ]
-        guard_flags = [
-            (name, entry_flags[flag_names.index(name)])
-            for name in flag_names if name in input_flags
-        ]
-        spans.append(FusedSpan(
-            start, end,
-            [(int(reg), entry_regs[reg]) for reg in input_regs],
-            guard_flags,
-            guard_reads,
-            guard_mapped,
-            [(int(reg), exit_regs[reg]) for reg in sorted(written_regs)
-             if reg not in unchanged_regs],
-            flag_effects,
-            write_effects,
-        ))
-    return spans
 
 
 # -- the compiler ------------------------------------------------------------
@@ -812,8 +420,8 @@ def _ea_expr(instruction, mem: Mem) -> str:
     return "(" + " + ".join(parts) + ") & M"
 
 
-def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
-             reads, writes, snapshots) -> Optional[Trace]:
+def _compile(engine: TraceEngine, anchor: int,
+             entries: List[TraceEntry]) -> Optional[Trace]:
     """Compile a recorded trace to one Python function (see module
     docstring for the generated shape and its invariants)."""
     n = len(entries)
@@ -821,8 +429,7 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
     for j, entry in enumerate(entries):
         ck_before[j + 1] = ck_before[j] + (1 if entry.in_tramp else 0)
     total_checks = ck_before[n]
-    glb: dict = {"M": _M64, "S": _SIGN, "sg": _signed, "VMFault": VMFault,
-                 "E": engine}
+    glb: dict = {"M": _M64, "S": _SIGN, "sg": _signed}
     generics: List[tuple] = []  # (entry index, instruction) for h{j}/i{j}
     rsp = int(RSP)
     lines: List[str] = []
@@ -1073,9 +680,6 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
             return
         generic(ind, j, entry)
 
-    spans = _find_spans(entries, reads, writes, snapshots)
-    span_at = {span.start: span for span in spans}
-
     emit(0, "def f(cpu, regs, rd, wr, fuel):")
     emit(1, "n = 0; c = 0; k = 0")
     flags_in(1)
@@ -1084,45 +688,8 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
     emit(3, f"if n + {n} > fuel:")
     emit(4, f"cpu.rip = {anchor}")
     emit(4, "break")
-    body = 3
-    j = 0
-    while j < n:
-        span = span_at.get(j)
-        if span is None:
-            emit_entry(j, body)
-            j += 1
-            continue
-        guards = [f"regs[{reg}] == {value}" for reg, value in span.guard_regs]
-        guards += [name if value else f"not {name}"
-                   for name, value in span.guard_flags]
-        guards += [f"rd({address}, {size}) == {value}"
-                   for address, size, value in span.guard_reads]
-        guards += [f"rd({address}, {size}) >= 0"  # mappedness probe only
-                   for address, size in span.guard_mapped]
-        if guards:
-            emit(body, "try:")
-            emit(body + 1, "g = " + " and ".join(guards))
-            emit(body, "except VMFault:")
-            emit(body + 1, "g = False")
-        else:
-            emit(body, "g = True")
-        emit(body, "if g:")
-        emit(body + 1, "E.fusion_hits += 1")
-        for address, size, value in span.write_effects:
-            if isinstance(value, tuple):  # transparent pair: live save
-                emit(body + 1, f"wr({address}, regs[{value[1]}], {size})")
-            else:
-                emit(body + 1, f"wr({address}, {value}, {size})")
-        for reg, value in span.reg_effects:
-            emit(body + 1, f"regs[{reg}] = {value}")
-        if span.flag_effects:
-            emit(body + 1, "; ".join(
-                f"{name} = {value}" for name, value in span.flag_effects
-            ))
-        emit(body, "else:")
-        for idx in range(span.start, span.end):
-            emit_entry(idx, body + 1)
-        j = span.end
+    for j in range(n):
+        emit_entry(j, 3)
     emit(3, f"n += {n}; c += {total_checks}")
     emit(1, "except BaseException:")
     flags_out(2)
@@ -1135,5 +702,4 @@ def _compile(engine: TraceEngine, anchor: int, entries: List[TraceEntry],
     source = "\n".join(lines)
     code = compile(source, f"<trace@{anchor:#x}>", "exec")
     exec(code, glb)
-    return Trace(anchor, glb["f"], n, total_checks, len(spans), source,
-                 code, generics)
+    return Trace(anchor, glb["f"], n, total_checks, source, code, generics)

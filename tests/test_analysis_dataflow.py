@@ -1,9 +1,9 @@
 """Tests for the dataflow analysis package (repro.analysis).
 
 Covers the block graph's edge structure, the generic fixpoint solver,
-the three client analyses (provenance, liveness, dominators), graceful
+the client analyses (provenance, liveness, dominators), graceful
 degradation under the ``analysis.*`` fault points, and the end-to-end
-property the ISSUE demands: the flow-sensitive passes strictly reduce
+property that matters: the flow-sensitive passes strictly reduce
 emitted checks on MiniC workloads while detection stays bit-identical.
 """
 
@@ -355,20 +355,20 @@ class TestGlobalLiveness:
 
 
 class TestDominators:
+    DIAMOND = """
+        cmp %rax, $0
+        jne right
+        mov %rbx, $1
+        jmp join
+        right:
+        mov %rbx, $2
+        join:
+        mov %rcx, $3
+        ret
+        """
+
     def test_diamond_dominance(self):
-        graph = graph_of(
-            """
-            cmp %rax, $0
-            jne right
-            mov %rbx, $1
-            jmp join
-            right:
-            mov %rbx, $2
-            join:
-            mov %rcx, $3
-            ret
-            """
-        )
+        graph = graph_of(self.DIAMOND)
         dom = dominators_mod.compute_dominators(graph)
         entry = graph.blocks[0].start
         join = graph.blocks[-1].start
@@ -377,84 +377,28 @@ class TestDominators:
         for arm in arms:
             assert arm not in dom[join], "neither arm dominates the join"
 
-    def sites_of(self, asm_text):
-        cf = recover_control_flow(build(asm_text))
-        info = analyze_control_flow(cf)
-        options = RedFatOptions(elim=False, flow_elim=False, dominated_elim=False)
-        sites, _stats = find_candidate_sites(cf, options)
-        return info, sites
+    def test_analyze_report_prints_computed_dominators(self):
+        """``redfat analyze`` computes the dominators it prints (the
+        hardening pipeline does not): every ``dominators:`` line lists
+        exactly ``compute_dominators`` minus the block itself."""
+        from repro.analysis.dump import render_dataflow
 
-    def test_same_block_identical_access_is_redundant(self):
-        info, sites = self.sites_of(
-            "mov %rax, (%rbx)\nmov %rcx, (%rbx)\nret"
-        )
-        redundant = info.dominated_redundant(sites)
-        assert redundant == {sites[1].address}
-
-    def test_clobbered_base_blocks_redundancy(self):
-        info, sites = self.sites_of(
-            "mov %rax, (%rbx)\nadd %rbx, $8\nmov %rcx, (%rbx)\nret"
-        )
-        assert info.dominated_redundant(sites) == set()
-
-    def test_call_between_blocks_redundancy(self):
-        info, sites = self.sites_of(
-            "mov %rax, (%rbx)\ncall fn\nmov %rcx, (%rbx)\nret\nfn:\nret"
-        )
-        assert info.dominated_redundant(sites) == set()
-
-    def test_different_width_not_redundant(self):
-        info, sites = self.sites_of(
-            "mov %rax, (%rbx)\nmovb %rcx, (%rbx)\nret"
-        )
-        assert info.dominated_redundant(sites) == set()
-
-    def test_cross_block_dominating_check_is_redundant(self):
-        info, sites = self.sites_of(
-            """
-            mov %rax, (%rbx)
-            cmp %rax, $0
-            jne skip
-            mov %rcx, $1
-            skip:
-            mov %rdx, (%rbx)
-            ret
-            """
-        )
-        assert len(sites) == 2
-        assert info.dominated_redundant(sites) == {sites[1].address}
-
-    def test_non_dominating_arm_does_not_justify(self):
-        info, sites = self.sites_of(
-            """
-            cmp %rax, $0
-            jne skip
-            mov %rcx, (%rbx)
-            skip:
-            mov %rdx, (%rbx)
-            ret
-            """
-        )
-        # The first access sits on only one path to the second.
-        assert info.dominated_redundant(sites) == set()
-
-    def test_chain_collapses_to_one_representative(self):
-        info, sites = self.sites_of(
-            "mov %rax, (%rbx)\nmov %rcx, (%rbx)\nmov %rdx, (%rbx)\nret"
-        )
-        redundant = info.dominated_redundant(sites)
-        assert redundant == {sites[1].address, sites[2].address}
-
-    def test_pipeline_counts_dominated_eliminations(self):
-        cf = recover_control_flow(
-            build("mov %rax, (%rbx)\nmov %rcx, (%rbx)\nret")
-        )
-        info = analyze_control_flow(cf)
-        sites, stats = find_candidate_sites(
-            cf, RedFatOptions(), dataflow=info
-        )
-        assert stats.eliminated_dominated == 1
-        assert stats.candidates == 1
+        info = analyze_control_flow(recover_control_flow(build(self.DIAMOND)))
+        dom = dominators_mod.compute_dominators(info.graph)
+        assert len(info.graph.blocks) == 4
+        printed = {}
+        block = None
+        for line in render_dataflow(info):
+            if line.startswith("block "):
+                block = int(line.split()[1].split("..")[0], 16)
+            elif line.startswith("  dominators: "):
+                rest = line[len("  dominators: "):]
+                printed[block] = (frozenset() if rest == "(entry)" else
+                                  frozenset(int(d, 16) for d in rest.split(", ")))
+        assert printed == {start: facts - {start}
+                           for start, facts in dom.items()}
+        join = info.graph.blocks[-1].start
+        assert printed[join] == {info.graph.blocks[0].start}
 
 
 class TestFaultDegradation:
@@ -549,11 +493,10 @@ class TestMiniCIntegration:
         program = compile_source(self.STRUCT_SOURCE)
         stripped = program.binary.strip()
         baseline = RedFat(RedFatOptions(
-            flow_elim=False, dominated_elim=False, global_liveness=False
+            flow_elim=False, global_liveness=False
         )).instrument(stripped)
         full = RedFat(RedFatOptions()).instrument(stripped)
-        gain = (full.stats.eliminated_provenance
-                + full.stats.eliminated_dominated)
+        gain = full.stats.eliminated_provenance
         assert gain > 0
         assert full.stats.candidates == baseline.stats.candidates - gain
         assert full.stats.eliminated == baseline.stats.eliminated
@@ -562,7 +505,7 @@ class TestMiniCIntegration:
         program = compile_source(self.STRUCT_SOURCE)
         reference = program.run(args=[5])
         for options in (RedFatOptions(),
-                        RedFatOptions(flow_elim=False, dominated_elim=False,
+                        RedFatOptions(flow_elim=False,
                                       global_liveness=False)):
             result = RedFat(options).instrument(program.binary.strip())
             rerun = program.run(args=[5], binary=result.binary,
@@ -572,8 +515,7 @@ class TestMiniCIntegration:
 
     def test_detection_parity_on_juliet_subset(self):
         """Flow-sensitive elimination must not lose a single detection."""
-        flow_off = RedFatOptions(flow_elim=False, dominated_elim=False,
-                                 global_liveness=False)
+        flow_off = RedFatOptions(flow_elim=False, global_liveness=False)
         for case in generate_cases(24)[::5]:
             program = case.compile()
             outcomes = []
@@ -617,12 +559,10 @@ class TestMiniCIntegration:
         program = compile_source(self.STRUCT_SOURCE)
         result = RedFat(RedFatOptions()).instrument(program.binary.strip())
         reasons = result.stats.elimination_reasons()
-        assert set(reasons) == {"syntactic", "provenance", "dominated",
-                                "range"}
+        assert set(reasons) == {"syntactic", "provenance", "range"}
         assert reasons["provenance"] == result.stats.eliminated_provenance
         assert reasons["range"] == result.stats.eliminated_range
         exported = result.stats.as_dict()
-        for key in ("eliminated_provenance", "eliminated_dominated",
-                    "eliminated_range", "liveness_spills_avoided",
+        for key in ("eliminated_provenance", "eliminated_range", "liveness_spills_avoided",
                     "analysis_fallbacks", "interproc_fallbacks"):
             assert key in exported

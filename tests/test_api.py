@@ -128,8 +128,7 @@ def test_profile_produces_allowlist(tmp_path):
 def test_preset_matches_explicit_construction():
     assert RedFatOptions.preset("unoptimized") == RedFatOptions(
         elim=False, batch=False, merge=False, specialize_registers=False,
-        flow_elim=False, dominated_elim=False, global_liveness=False,
-        interproc_elim=False,
+        flow_elim=False, global_liveness=False, interproc_elim=False,
     )
     assert RedFatOptions.preset("fully") == RedFatOptions()
     assert RedFatOptions.preset("+merge") == RedFatOptions()

@@ -136,6 +136,38 @@ class TestArtifactFrame:
         frame[len(frame) // 2] ^= 0x40
         assert decode_frame(bytes(frame)) is None
 
+    def test_roundtrip_after_a_trace_tier_run(self):
+        """Running a binary hangs the VM's run caches (compiled traces,
+        decoded instructions) on it; its artifact must still encode, and
+        the decoded result must run identically."""
+        program = compile_source("""
+        int main() {
+            int *a = malloc(64);
+            int s = 0;
+            for (int i = 0; i < 200; i = i + 1) {
+                a[i % 8] = i;
+                s = s + a[(i + 3) % 8];
+            }
+            print(s);
+            free(a);
+            return 0;
+        }
+        """)
+        hardened = api.harden(program)
+        runs = []
+        for result in (hardened, None):
+            if result is None:
+                result = decode_frame(encode_frame(hardened))
+                assert result is not None
+            telemetry = Telemetry()
+            run = api.run(result.binary,
+                          runtime=result.create_runtime(mode="log"),
+                          telemetry=telemetry, engine="trace")
+            assert telemetry.counters.get("vm.traces_compiled", 0) > 0
+            runs.append((run.status, list(run.output), run.instructions,
+                         telemetry.counters.get("vm.checks_executed")))
+        assert runs[0] == runs[1]
+
     def test_truncated_and_foreign_frames_rejected(self):
         assert decode_frame(b"") is None
         assert decode_frame(b"ELF!" + b"\x00" * 64) is None
