@@ -17,7 +17,7 @@ classifies such runs as DEGRADED rather than silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import InstrumentationError
 from repro.faults.injector import fault_point, payload_rng
@@ -83,31 +83,22 @@ class DataflowInfo:
                 return facts
         return None
 
-    def dead_registers_after(self, block: BasicBlock, index: int) -> Optional[FrozenSet]:
-        """Globally-informed replacement for ``regusage.dead_registers_after``.
+    def dead_after(
+        self, block: BasicBlock, index: int
+    ) -> Optional[Tuple[FrozenSet, bool]]:
+        """Globally-informed ``regusage.dead_after``: the registers a
+        trampoline before ``block.instructions[index]`` may clobber, and
+        whether it may clobber the flags without a spill.
 
-        None when liveness is unavailable (callers then use the
-        block-local rule).
+        None when liveness is unavailable (fallback mode): callers then
+        use the block-local rule and must assume the flags live.
         """
         if self.fallback:
             return None
         live_out = self.live_out.get(block.start)
         if live_out is None:
             return None
-        return liveness_mod.dead_registers_at(block.instructions, index, live_out)
-
-    def flags_dead_after(self, block: BasicBlock, index: int) -> Optional[bool]:
-        """Whether no later instruction reads the flags written at
-        ``block.instructions[index]`` — True lets check code clobber
-        them without a spill. ``None`` (unknown) when the global
-        liveness solution is unavailable (fallback mode), which callers
-        must treat as "assume live"."""
-        if self.fallback:
-            return None
-        live_out = self.live_out.get(block.start)
-        if live_out is None:
-            return None
-        return liveness_mod.flags_dead_at(block.instructions, index, live_out)
+        return liveness_mod.dead_at(block.instructions, index, live_out)
 
     def range_before(self, address: int) -> Optional[ranges_mod.RangeState]:
         """Range state immediately before the instruction at *address*.

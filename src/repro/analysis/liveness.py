@@ -12,7 +12,7 @@ Conservatism at the unknown edges of the recovered CFG:
 - a ``ret``-, ``call``-, ``callr``- or ``rtcall``-terminated block makes
   every register live at its exit (the callee/caller may read anything)
   but the flags **dead** — the ABI forbids relying on flags across
-  call/return boundaries (the same rule ``flags_dead_after`` already
+  call/return boundaries (the same rule ``regusage.dead_after`` already
   applies locally);
 - an indirect jump's exit facts join over *all* recovered target blocks
   (the edge set over-approximates by construction);
@@ -29,7 +29,7 @@ rule.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import CONDITIONAL_JUMPS, Opcode, SETCC_CONDITIONS
@@ -132,11 +132,12 @@ def live_sets_within(block_instructions: List[Instruction],
     return sets
 
 
-def dead_registers_at(block_instructions: List[Instruction], index: int,
-                      live_out: FrozenSet) -> FrozenSet:
-    """Registers a trampoline entered before *index* may clobber.
+def dead_at(block_instructions: List[Instruction], index: int,
+            live_out: FrozenSet) -> Tuple[FrozenSet, bool]:
+    """``(dead registers, flags dead)`` before *index*, in one walk.
 
-    Equivalent to ``regusage.dead_registers_after`` when *live_out* is
+    The registers are those a trampoline entered before *index* may
+    clobber: equivalent to ``regusage.dead_after`` when *live_out* is
     :data:`ALL_LIVE`; with a real live-out it additionally reports
     registers the suffix never mentions and no successor reads.
     """
@@ -145,13 +146,4 @@ def dead_registers_at(block_instructions: List[Instruction], index: int,
         live = step_backward(live, block_instructions[position])
     dead = set(GPRS) - {r for r in live if isinstance(r, Register)}
     dead.discard(Register.RSP)
-    return frozenset(dead)
-
-
-def flags_dead_at(block_instructions: List[Instruction], index: int,
-                  live_out: FrozenSet) -> bool:
-    """Flags counterpart of :func:`dead_registers_at`."""
-    live = live_out
-    for position in range(len(block_instructions) - 1, index - 1, -1):
-        live = step_backward(live, block_instructions[position])
-    return FLAGS not in live
+    return frozenset(dead), FLAGS not in live

@@ -23,14 +23,24 @@ input.
 
 Every ``trap`` is tagged with the representative original site address so
 the runtime can attribute errors precisely even through batching/merging.
+
+Given a template table, the generator assembles each check shape once:
+a range check's bytes depend only on its :func:`template_key`, so the
+first check of a shape is assembled at address 0 into an
+:class:`~repro.isa.assembler.Encoded` block and every check of that
+shape (the first included) is stamped from it with its own site tag.
+The rewriter places the block, re-derives its PIC displacement and
+records its tags.  Reuse is exact: the key holds every input of
+:meth:`CheckGenerator._range_check` except the site, which only tags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence
 
-from repro.isa.assembler import Item
+from repro.errors import AssemblyError
+from repro.isa.assembler import Encoded, Item, prebuild
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm, Label, Mem, Reg
@@ -64,10 +74,19 @@ def _ins(opcode: Opcode, *operands, size: int = 8, **kw) -> Instruction:
 
 
 class CheckGenerator:
-    """Generates prologue + per-range checks + epilogue for one group."""
+    """Generates prologue + per-range checks + epilogue for one group.
 
-    def __init__(self, context: CheckContext) -> None:
+    *templates*, when given, is the shape -> :class:`Encoded` table the
+    range checks are stamped from (see the module docstring); its owner
+    scopes it (the tool keeps one per ``instrument`` call).  Without it,
+    every check comes out as plain instructions and labels.
+    """
+
+    def __init__(
+        self, context: CheckContext, templates: Optional[Dict[tuple, Encoded]] = None
+    ) -> None:
         self.context = context
+        self.templates = templates
         if len(context.scratch) != 4:
             raise ValueError("check generation needs exactly 4 scratch registers")
 
@@ -77,9 +96,43 @@ class CheckGenerator:
         items: List[Item] = []
         items += self._prologue()
         for index, access_range in enumerate(ranges):
-            items += self._range_check(access_range, f"c{group_head:x}_{index}")
+            items += self._stamped_check(access_range, f"c{group_head:x}_{index}")
         items += self._epilogue()
         return items
+
+    def template_key(self, access_range: AccessRange) -> tuple:
+        """Everything :meth:`_range_check` reads, except the site."""
+        context = self.context
+        options = context.options
+        return (
+            tuple(context.scratch), context.push_count, context.pic,
+            context.sizes_table, options.size_hardening, options.merge,
+            access_range.use_lowfat and access_range.base is not None,
+            access_range.base, access_range.index, access_range.scale,
+            access_range.disp, access_range.length,
+        )
+
+    def _stamped_check(self, access_range: AccessRange, prefix: str) -> List[Item]:
+        """The range check, as one block stamped from its shape's template.
+
+        A shape whose check fails to assemble gets no template: its plain
+        items go to the rewriter, whose assembly fails on them exactly as
+        it would without templates.
+        """
+        if self.templates is None:
+            return self._range_check(access_range, prefix)
+        key = self.template_key(access_range)
+        template = self.templates.get(key)
+        if template is None:
+            items = self._range_check(access_range, prefix)
+            try:
+                template = prebuild(items)
+            except AssemblyError:
+                return items
+            self.templates[key] = template
+        site = access_range.representative_site
+        tags = tuple((offset, site) for offset, _ in template.tags)
+        return [replace(template, tags=tags)]
 
     # -- prologue / epilogue ---------------------------------------------------
 

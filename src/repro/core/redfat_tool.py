@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import analyze_control_flow
@@ -10,16 +11,13 @@ from repro.errors import InstrumentationError
 from repro.faults.injector import fault_point
 from repro.binfmt.binary import Binary
 from repro.binfmt.sections import SEG_READ, Segment
+from repro.isa.assembler import Encoded
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm
 from repro.layout import MAX_REGIONS, SIZES_TABLE_ADDR, build_sizes_table
 from repro.rewriter.cfg import recover_control_flow
-from repro.rewriter.regusage import (
-    dead_registers_after,
-    flags_dead_after,
-    pick_scratch_registers,
-)
+from repro.rewriter.regusage import dead_after, pick_scratch_registers
 from repro.rewriter.rewriter import PatchRequest, RewriteResult, Rewriter
 from repro.runtime.redfat import RedFatRuntime
 from repro.telemetry.hub import Telemetry, coerce
@@ -39,11 +37,16 @@ PROT_REDZONE = "redzone"
 PROT_NONE = "none"
 
 
+@lru_cache(maxsize=1)
+def _sizes_blob() -> bytes:
+    """The SIZES table's bytes: a layout constant, built once per process."""
+    table = build_sizes_table(MAX_REGIONS)
+    return b"".join(entry.to_bytes(8, "little") for entry in table)
+
+
 def sizes_table_segment() -> Segment:
     """The SIZES table the hardened binary embeds (region -> class size)."""
-    table = build_sizes_table(MAX_REGIONS)
-    blob = b"".join(entry.to_bytes(8, "little") for entry in table)
-    return Segment(SIZES_SEGMENT, SIZES_TABLE_ADDR, blob, SEG_READ)
+    return Segment(SIZES_SEGMENT, SIZES_TABLE_ADDR, _sizes_blob(), SEG_READ)
 
 
 @dataclass
@@ -152,6 +155,10 @@ class RedFat:
         The input image is never modified.  Works identically on stripped
         binaries: nothing here consults the symbol table.
 
+        Check shapes are assembled once per call (``templates``) and
+        trampoline instructions encoded once per rewrite; nothing is
+        reused from one call to the next.
+
         When the tool carries a :class:`~repro.telemetry.Telemetry` hub,
         each phase runs under a span (``disasm``, ``cfg``, ``analysis``,
         ``batching``, ``checkgen``, ``patching``) and the Table-1
@@ -202,6 +209,7 @@ class RedFat:
             site_table: Dict[int, List[CheckSite]] = {}
             group_sites: Dict[int, List[CheckSite]] = {}
             quarantine: List[Tuple[int, str]] = []
+            templates: Dict[tuple, Encoded] = {}
 
             with tele.span("checkgen"):
                 for group in groups:
@@ -221,7 +229,7 @@ class RedFat:
                     else:
                         items = self._generate_group(
                             control_flow, group, binary.is_pic, protection,
-                            stats, quarantine, dataflow,
+                            stats, quarantine, dataflow, templates,
                         )
                         if items is None:
                             continue  # quarantined: no patch request at all
@@ -257,7 +265,7 @@ class RedFat:
 
     def _generate_group(
         self, control_flow, group, pic: bool, protection, stats, quarantine,
-        dataflow=None,
+        dataflow=None, templates=None,
     ):
         """Generate one group's check items, degrading on failure.
 
@@ -272,14 +280,16 @@ class RedFat:
         try:
             ranges = merge_group(group, options)
             items = self._generate_items(
-                control_flow, group, ranges, pic, options, stats, dataflow
+                control_flow, group, ranges, pic, options, stats, dataflow,
+                templates,
             )
         except InstrumentationError:
             degraded = options.with_(lowfat=False)
             try:
                 ranges = merge_group(group, degraded)
                 items = self._generate_items(
-                    control_flow, group, ranges, pic, degraded, stats, dataflow
+                    control_flow, group, ranges, pic, degraded, stats, dataflow,
+                    templates,
                 )
             except InstrumentationError as secondary:
                 if not options.keep_going:
@@ -307,7 +317,8 @@ class RedFat:
         return items
 
     def _generate_items(self, control_flow, group, ranges, pic: bool,
-                        options=None, stats=None, dataflow=None):
+                        options=None, stats=None, dataflow=None,
+                        templates=None):
         options = options or self.options
         head = group.head_address
         block = control_flow.block_of[head]
@@ -318,8 +329,7 @@ class RedFat:
         local_dead: frozenset = frozenset()
         local_flags_dead = False
         if options.specialize_registers:
-            local_dead = dead_registers_after(block.instructions, index)
-            local_flags_dead = flags_dead_after(block.instructions, index)
+            local_dead, local_flags_dead = dead_after(block.instructions, index)
         dead = local_dead
         flags_dead = local_flags_dead
         use_global = (
@@ -327,11 +337,10 @@ class RedFat:
             and dataflow is not None
         )
         if use_global:
-            global_dead = dataflow.dead_registers_after(block, index)
-            if global_dead is not None:
-                dead = dead | global_dead
-            if dataflow.flags_dead_after(block, index):
-                flags_dead = True
+            global_facts = dataflow.dead_after(block, index)
+            if global_facts is not None:
+                dead = dead | global_facts[0]
+                flags_dead = flags_dead or global_facts[1]
         if fault_point("checkgen.scratch"):
             raise InstrumentationError(
                 f"site {head:#x}: injected scratch-register exhaustion"
@@ -362,4 +371,4 @@ class RedFat:
             save_flags=not flags_dead,
             pic=pic,
         )
-        return CheckGenerator(context).generate(ranges, head)
+        return CheckGenerator(context, templates).generate(ranges, head)

@@ -4,23 +4,75 @@ Operand order is destination-first throughout the library (``mov %rax, $5``
 sets rax to 5) while operand *syntax* is AT&T-style.  Labels may appear as
 jump/call targets and are resolved to rel32 displacements during layout;
 every other instruction has a value-determined length, so a single sizing
-pass suffices before resolution.
+pass suffices before resolution.  The sizing pass keeps the bytes it
+produces: only label jumps and ``abs_target`` fixups are encoded again.
+
+Besides labels and instructions, a stream may hold :class:`Encoded`
+items: machine code assembled once (by :func:`prebuild`) and placed as a
+unit, with its rip-relative/rel32 fixups re-derived for where it lands.
+The check generator stamps every check of one shape from one such block.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AssemblyError, EncodingError
-from repro.isa.encoding import JUMP_LEN, encode
+from repro.isa.encoding import INT32_RANGE, JUMP_LEN, encode
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import JUMP_OPCODES, Opcode
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import Register
 
-#: Items accepted by the assembler: label definitions or instructions.
-Item = Union[Label, Instruction]
+
+@dataclass(eq=False)
+class Encoded:
+    """Machine code assembled at address 0, placed as one assembler item.
+
+    ``data`` is position independent except for ``fixups``: each
+    ``(offset, end, target)`` is a 4-byte displacement at
+    ``data[offset:offset + 4]`` of the instruction ending at ``end``,
+    rewritten on placement so that the instruction reaches absolute
+    ``target`` (a rip-relative operand or a direct jump, exactly what
+    ``Instruction.abs_target`` does).  ``tags`` are ``(offset, tag)``
+    pairs: the instruction at ``offset`` carries ``tag`` into rewrite
+    metadata, as ``Instruction.tag`` does.  ``address`` is set by the
+    assembler.
+    """
+
+    data: bytes
+    fixups: Tuple[Tuple[int, int, int], ...] = ()
+    tags: Tuple[Tuple[int, object], ...] = ()
+    address: int = 0
+
+    @property
+    def length(self) -> int:
+        return len(self.data)
+
+    def placed(self) -> bytes:
+        """``data`` with every fixup resolved for ``address``."""
+        if not self.fixups:
+            return self.data
+        out = bytearray(self.data)
+        for offset, end, target in self.fixups:
+            disp = target - (self.address + end)
+            if not INT32_RANGE[0] <= disp <= INT32_RANGE[1]:
+                raise AssemblyError(
+                    f"fixup at {self.address + offset:#x} to {target:#x} "
+                    "exceeds 32 bits"
+                )
+            out[offset : offset + 4] = disp.to_bytes(4, "little", signed=True)
+        return bytes(out)
+
+
+#: Items accepted by the assembler: label definitions, instructions or
+#: pre-encoded blocks.
+Item = Union[Label, Instruction, Encoded]
+
+#: Encode memo: ``(opcode, operands, size) -> bytes`` (see :func:`assemble`).
+Memo = Dict[tuple, bytes]
 
 _SIZE_SUFFIXES = {"b": 1, "w": 2, "l": 4, "q": 8}
 
@@ -65,39 +117,84 @@ class Assembler:
         return assemble(self.items, base_address)
 
 
-def _sizing_pass(items: Sequence[Item], base_address: int) -> dict:
-    """Assign addresses to every item; return the label table."""
+def _encode(item: Instruction, memo: Optional[Memo]) -> bytes:
+    """Encode *item* (setting its length), through *memo* when given.
+
+    Only instructions whose bytes cannot depend on layout are memoised:
+    never a jump, never one with an ``abs_target``.  Errors are raised
+    on every call, never stored.
+    """
+    cacheable = memo is not None and item.abs_target is None
+    if cacheable:
+        key = (item.opcode, item.operands, item.size)
+        raw = memo.get(key)
+        if raw is not None:
+            item.length = len(raw)
+            return raw
+    try:
+        raw = encode(item)
+    except EncodingError as exc:
+        raise AssemblyError(str(exc)) from exc
+    if cacheable:
+        memo[key] = raw
+    return raw
+
+
+def _sizing_pass(
+    items: Sequence[Item], base_address: int, memo: Optional[Memo]
+) -> Tuple[dict, List[Optional[bytes]]]:
+    """Assign addresses to every item.
+
+    Returns the label table and, per item, its final bytes — or None
+    where layout decides them (labels, jumps, fixups).
+    """
     labels = {}
+    encoded: List[Optional[bytes]] = []
     address = base_address
     for item in items:
+        raw = None
         if isinstance(item, Label):
             if item.name in labels:
                 raise AssemblyError(f"duplicate label {item.name!r}")
             labels[item.name] = address
+            encoded.append(raw)
             continue
         item.address = address
-        if item.opcode in JUMP_OPCODES:
+        if isinstance(item, Encoded):
+            if not item.fixups:
+                raw = item.data
+        elif item.opcode in JUMP_OPCODES:
             item.length = JUMP_LEN
         else:
-            try:
-                encode(item)  # sets .length
-            except EncodingError as exc:
-                raise AssemblyError(str(exc)) from exc
+            raw = _encode(item, memo)  # sets .length
+            if item.abs_target is not None:
+                raw = None
+        encoded.append(raw)
         address += item.length
-    return labels
+    return labels, encoded
 
 
-def assemble(items: Sequence[Item], base_address: int = 0) -> bytes:
+def assemble(
+    items: Sequence[Item], base_address: int = 0, memo: Optional[Memo] = None
+) -> bytes:
     """Assemble *items* into bytes loaded at *base_address*.
 
     Jump/call operands that are :class:`Label` are replaced (in place) by
     resolved rel32 immediates; instruction ``address``/``length`` fields
-    are filled in.
+    are filled in.  *memo*, when given, maps ``(opcode, operands, size)``
+    to bytes across calls; callers scope it (the rewriter keeps one per
+    rewrite).
     """
-    labels = _sizing_pass(items, base_address)
+    labels, encoded = _sizing_pass(items, base_address, memo)
     output = bytearray()
-    for item in items:
+    for item, raw in zip(items, encoded):
+        if raw is not None:
+            output += raw
+            continue
         if isinstance(item, Label):
+            continue
+        if isinstance(item, Encoded):
+            output += item.placed()
             continue
         if item.abs_target is not None:
             _apply_abs_target(item)
@@ -107,11 +204,48 @@ def assemble(items: Sequence[Item], base_address: int = 0) -> bytes:
                 raise AssemblyError(f"undefined label {name!r}")
             rel = labels[name] - (item.address + JUMP_LEN)
             item.operands = (Imm(rel),)
-        try:
-            output += encode(item)
-        except EncodingError as exc:
-            raise AssemblyError(str(exc)) from exc
+        output += _encode(item, None)
     return bytes(output)
+
+
+def prebuild(items: Sequence[Item]) -> Encoded:
+    """Assemble *items* once, at address 0, into an :class:`Encoded` block.
+
+    Label jumps inside *items* move with the block, so their rel32 stays
+    valid wherever it is placed; every ``abs_target`` becomes a fixup and
+    every tagged instruction a tag offset.  Raises :class:`AssemblyError`
+    exactly as :func:`assemble` would.
+    """
+    data = assemble(items, 0)
+    fixups = []
+    tags = []
+    for item in items:
+        if not isinstance(item, Instruction):
+            continue
+        if item.tag is not None:
+            tags.append((item.address, item.tag))
+        if item.abs_target is not None:
+            end = item.address + item.length
+            fixups.append((item.address + _disp32_offset(item), end, item.abs_target))
+    return Encoded(data, tuple(fixups), tuple(tags))
+
+
+def _disp32_offset(item: Instruction) -> int:
+    """Offset of the displacement an ``abs_target`` fixup rewrites.
+
+    A direct jump is ``[opcode][rel32]``.  A rip-relative memory operand
+    encodes as a flags byte and a disp32 (no register byte), after the
+    opcode, the form byte and one register byte per preceding register
+    operand (immediates never precede a memory operand).
+    """
+    if item.opcode in JUMP_OPCODES:
+        return 1
+    offset = 2
+    for operand in item.operands:
+        if isinstance(operand, Mem):
+            return offset + 1
+        offset += 1
+    raise AssemblyError(f"abs_target set on {item!r} without a displacement")
 
 
 def _apply_abs_target(item: Instruction) -> None:

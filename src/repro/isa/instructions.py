@@ -37,7 +37,10 @@ class Instruction:
     the binary image.
     """
 
-    __slots__ = ("opcode", "operands", "size", "address", "length", "abs_target", "tag")
+    __slots__ = (
+        "opcode", "operands", "size", "address", "length", "abs_target", "tag",
+        "_facts",
+    )
 
     def __init__(
         self,
@@ -65,12 +68,36 @@ class Instruction:
         #: Arbitrary marker propagated to rewrite metadata (e.g. which
         #: original access a generated trap instruction belongs to).
         self.tag = tag
+        #: ``[opcode, operands, form, regs_read, regs_written]`` memo; see
+        #: :meth:`_memo`.
+        self._facts = None
 
     # -- structural helpers -------------------------------------------------
+
+    def _memo(self) -> list:
+        """The facts memo for the current ``(opcode, operands)``.
+
+        ``form``, ``regs_read()`` and ``regs_written()`` are pure
+        functions of the opcode and the operands, and the analyses ask
+        for them many times per instruction.  The memo remembers which
+        opcode and operand tuple it was computed for, so reassigning
+        either (the assembler resolving a label, a fixup) starts a fresh
+        one.  Failures are never stored.
+        """
+        memo = self._facts
+        if memo is None or memo[0] is not self.opcode or memo[1] is not self.operands:
+            memo = self._facts = [self.opcode, self.operands, None, None, None]
+        return memo
 
     @property
     def form(self) -> int:
         """Operand-form identifier (see opcodes.py FORM_* constants)."""
+        memo = self._memo()
+        if memo[2] is None:
+            memo[2] = self._form()
+        return memo[2]
+
+    def _form(self) -> int:
         ops = self.operands
         if not ops:
             return FORM_NONE
@@ -184,6 +211,12 @@ class Instruction:
 
     def regs_read(self) -> frozenset:
         """Registers whose values this instruction consumes."""
+        memo = self._memo()
+        if memo[3] is None:
+            memo[3] = self._regs_read()
+        return memo[3]
+
+    def _regs_read(self) -> frozenset:
         regs = set()
         form = self.form
         op = self.opcode
@@ -223,6 +256,12 @@ class Instruction:
 
     def regs_written(self) -> frozenset:
         """Registers whose values this instruction may change."""
+        memo = self._memo()
+        if memo[4] is None:
+            memo[4] = self._regs_written()
+        return memo[4]
+
+    def _regs_written(self) -> frozenset:
         regs = set()
         form = self.form
         op = self.opcode

@@ -10,7 +10,7 @@ to arbitrary stripped binaries.
 """
 
 from repro.rewriter.cfg import BasicBlock, ControlFlowInfo, recover_control_flow
-from repro.rewriter.regusage import dead_registers_after, flags_dead_after
+from repro.rewriter.regusage import dead_after
 from repro.rewriter.rewriter import PatchRequest, RewriteResult, Rewriter
 from repro.rewriter.stats import RewriteStatistics, rewrite_statistics
 
@@ -18,8 +18,7 @@ __all__ = [
     "BasicBlock",
     "ControlFlowInfo",
     "recover_control_flow",
-    "dead_registers_after",
-    "flags_dead_after",
+    "dead_after",
     "PatchRequest",
     "RewriteResult",
     "Rewriter",

@@ -14,7 +14,7 @@ ABI makes the flags dead.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet, List, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import (
@@ -25,26 +25,6 @@ from repro.isa.opcodes import (
 from repro.isa.registers import GPRS, RSP, Register
 
 
-def dead_registers_after(block: List[Instruction], index: int) -> FrozenSet[Register]:
-    """Registers that may be clobbered by a trampoline entered at *index*.
-
-    ``block[index:]`` is the straight-line suffix that will execute after
-    the trampoline returns (starting with the displaced instruction
-    itself, which still reads its own operands).
-    """
-    live: set = set()
-    dead: set = set()
-    for instruction in block[index:]:
-        for register in instruction.regs_read():
-            if register not in dead:
-                live.add(register)
-        for register in instruction.regs_written():
-            if register not in live:
-                dead.add(register)
-    dead.discard(RSP)  # the stack pointer is never scratch material
-    return frozenset(dead)
-
-
 def _reads_flags(instruction: Instruction) -> bool:
     return (
         instruction.opcode in CONDITIONAL_JUMPS
@@ -53,26 +33,46 @@ def _reads_flags(instruction: Instruction) -> bool:
     )
 
 
-def flags_dead_after(block: List[Instruction], index: int) -> bool:
-    """True when the flags register need not be preserved at *index*.
+def dead_after(
+    block: List[Instruction], index: int
+) -> Tuple[FrozenSet[Register], bool]:
+    """``(dead registers, flags dead)`` for a trampoline entered at *index*.
 
-    Flags are dead if the suffix overwrites them before reading them, or
-    the block ends in a call/ret (the ABI treats flags as clobbered).
-    Ending in a plain jump is conservatively treated as flags-live.
+    ``block[index:]`` is the straight-line suffix that will execute after
+    the trampoline returns (starting with the displaced instruction
+    itself, which still reads its own operands).  A register is dead if
+    the suffix writes it before reading it.  The flags are dead if the
+    suffix overwrites them before reading them, or, when it does
+    neither, if it ends in a call/ret (the ABI treats flags as
+    clobbered); ending in a plain jump is conservatively flags-live.
+    One backward-free walk answers both.
     """
     suffix = block[index:]
-    if not suffix:
-        return False
+    live: set = set()
+    dead: set = set()
+    flags_dead = None
     for instruction in suffix:
-        if _reads_flags(instruction):
-            return False
-        if instruction.writes_flags() or instruction.opcode is Opcode.POPF:
-            return True
-    # The suffix neither reads nor writes the flags: the verdict rests on
-    # its own terminator, not the whole block's (``block[-1]`` would look
-    # past a mid-block *index* into instructions already handled above).
-    last = suffix[-1]
-    return last.opcode in (Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RTCALL)
+        for register in instruction.regs_read():
+            if register not in dead:
+                live.add(register)
+        for register in instruction.regs_written():
+            if register not in live:
+                dead.add(register)
+        if flags_dead is None:
+            if _reads_flags(instruction):
+                flags_dead = False
+            elif instruction.writes_flags() or instruction.opcode is Opcode.POPF:
+                flags_dead = True
+    if flags_dead is None:
+        # The suffix neither reads nor writes the flags: the verdict rests
+        # on its own terminator, not the whole block's (``block[-1]``
+        # would look past a mid-block *index* into instructions already
+        # handled above).
+        flags_dead = bool(suffix) and suffix[-1].opcode in (
+            Opcode.CALL, Opcode.CALLR, Opcode.RET, Opcode.RTCALL
+        )
+    dead.discard(RSP)  # the stack pointer is never scratch material
+    return frozenset(dead), flags_dead
 
 
 def pick_scratch_registers(

@@ -30,7 +30,7 @@ from repro.errors import AssemblyError, EncodingError, InstrumentationError, Rew
 from repro.faults.injector import fault_point
 from repro.binfmt.binary import Binary
 from repro.binfmt.sections import SEG_EXEC, SEG_READ, Segment
-from repro.isa.assembler import Item, assemble
+from repro.isa.assembler import Encoded, Item, assemble
 from repro.isa.encoding import JUMP_LEN, encode_jump
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
@@ -48,9 +48,11 @@ _NOP = bytes([int(Opcode.NOP)])
 class PatchRequest:
     """Instrumentation to insert before the instruction at ``head``.
 
-    ``items`` are assembler items (instructions and labels).  Labels are
-    scoped to the trampoline they end up in, so generators must namespace
-    them uniquely per request.
+    ``items`` are assembler items: instructions, labels and pre-encoded
+    :class:`~repro.isa.assembler.Encoded` blocks (a stamped check).
+    Labels are scoped to the trampoline they end up in, so generators
+    must namespace them uniquely per request.  Tags on instructions and
+    on ``Encoded`` blocks both land in the result's ``tag_map``.
     """
 
     head: int
@@ -150,6 +152,8 @@ class Rewriter:
         self.keep_going = keep_going
         self.telemetry = coerce(telemetry)
         self._requests: Dict[int, PatchRequest] = {}
+        #: Encode memo shared by every trampoline of this rewrite.
+        self._encoded: Dict[tuple, bytes] = {}
 
     def request(self, patch: PatchRequest) -> None:
         if patch.head in self._requests:
@@ -236,7 +240,7 @@ class Rewriter:
                     raise InstrumentationError(
                         "injected trampoline-encoding failure"
                     )
-                code = assemble(body, cursor)
+                code = assemble(body, cursor, self._encoded)
             except (AssemblyError, EncodingError, InstrumentationError) as error:
                 reason = f"trampoline encoding failed: {error}"
                 if not self.keep_going:
@@ -252,7 +256,10 @@ class Rewriter:
                     encode_failures.append((head, reason))
                 continue
             for item in body:
-                if isinstance(item, Instruction) and item.tag is not None:
+                if isinstance(item, Encoded):
+                    for offset, tag in item.tags:
+                        tag_map[item.address + offset] = tag
+                elif isinstance(item, Instruction) and item.tag is not None:
                     tag_map[item.address] = item.tag
             trampoline_ranges.append((cursor, cursor + len(code), plan.head))
             trampoline_code += code

@@ -20,6 +20,7 @@ TABLE1_COUNTERS = [
     ("checks.inserted", "checks inserted"),
     ("checks.eliminated", "checks eliminated (syntactic)"),
     ("checks.eliminated_provenance", "checks eliminated (provenance)"),
+    ("checks.eliminated_range", "checks eliminated (range)"),
     ("checks.batched", "checks batched away"),
     ("checks.merged", "checks merged away"),
     ("liveness.spills_avoided", "spills avoided"),

@@ -21,7 +21,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.operands import INT32_MAX, Imm
 from repro.isa.registers import GPRS, RAX, RBX, RCX, RDX, RSI, RSP
 from repro.rewriter import recover_control_flow
-from repro.rewriter.regusage import dead_registers_after, flags_dead_after
+from repro.rewriter.regusage import dead_after
 from repro.analysis import (
     FixpointDiverged,
     analyze_control_flow,
@@ -310,8 +310,8 @@ class TestGlobalLiveness:
             """
         )
         block = info.graph.blocks[0]
-        global_dead = info.dead_registers_after(block, 0)
-        local_dead = dead_registers_after(block.instructions, 0)
+        global_dead, _flags = info.dead_after(block, 0)
+        local_dead = dead_after(block.instructions, 0)[0]
         assert RCX in global_dead  # next block writes it before reading
         assert RCX not in local_dead  # block-local rule must assume live
         assert global_dead >= local_dead  # never worse than the local rule
@@ -321,8 +321,8 @@ class TestGlobalLiveness:
             "mov %rax, (%rbx)\njmp next\nnext:\nadd %rbx, $1\nret"
         )
         block = info.graph.blocks[0]
-        assert info.flags_dead_after(block, 0) is True
-        assert flags_dead_after(block.instructions, 0) is False
+        assert info.dead_after(block, 0)[1] is True
+        assert dead_after(block.instructions, 0)[1] is False
 
     def test_branch_join_keeps_register_live(self):
         info = self.info_of(
@@ -339,7 +339,7 @@ class TestGlobalLiveness:
         )
         block = info.graph.blocks[0]
         # One successor reads RCX: the join over paths must keep it live.
-        assert RCX not in info.dead_registers_after(block, 0)
+        assert RCX not in info.dead_after(block, 0)[0]
 
     def test_trap_block_has_nothing_live(self):
         info = self.info_of("trap $1")

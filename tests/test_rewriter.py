@@ -16,8 +16,7 @@ from repro.isa.registers import R9, R10, R11, RAX, RBX, RCX, RDX, RSP, Register
 from repro.rewriter import (
     PatchRequest,
     Rewriter,
-    dead_registers_after,
-    flags_dead_after,
+    dead_after,
     recover_control_flow,
 )
 from repro.vm.loader import run_binary
@@ -84,56 +83,56 @@ class TestRegUsage:
 
     def test_written_before_read_is_dead(self):
         block = self.block("mov %rax, (%rbx)\nmov %rcx, $1\nret")
-        dead = dead_registers_after(block, 0)
+        dead = dead_after(block, 0)[0]
         assert RCX in dead
         assert RBX not in dead  # read by the first instruction
         assert RAX in dead  # written (as load destination) before any read
 
     def test_destination_written_is_dead_if_unread(self):
         block = self.block("mov %rax, $5\nret")
-        assert RAX in dead_registers_after(block, 0)
+        assert RAX in dead_after(block, 0)[0]
 
     def test_read_then_written_is_live(self):
         block = self.block("add %rax, $1\nret")
-        assert RAX not in dead_registers_after(block, 0)
+        assert RAX not in dead_after(block, 0)[0]
 
     def test_rsp_never_dead(self):
         block = self.block("pop %rax\nret")
-        assert RSP not in dead_registers_after(block, 0)
+        assert RSP not in dead_after(block, 0)[0]
 
     def test_flags_dead_when_overwritten(self):
         block = self.block("mov %rax, (%rbx)\nadd %rax, $1\nret")
-        assert flags_dead_after(block, 0)
+        assert dead_after(block, 0)[1]
 
     def test_flags_live_when_branch_reads_them(self):
         block = self.block("mov %rax, (%rbx)\nje somewhere")
-        assert not flags_dead_after(block, 0)
+        assert not dead_after(block, 0)[1]
 
     def test_flags_live_before_setcc(self):
         block = self.block("mov %rax, (%rbx)\nsete %rcx\nret")
-        assert not flags_dead_after(block, 0)
+        assert not dead_after(block, 0)[1]
 
     def test_flags_dead_at_ret_boundary(self):
         block = self.block("mov %rax, (%rbx)\nret")
-        assert flags_dead_after(block, 0)
+        assert dead_after(block, 0)[1]
 
     def test_flags_empty_suffix_is_conservative(self):
         # index == len(block): nothing executes after the site, so there
         # is no terminator to justify clobbering the flags.
         block = self.block("mov %rax, (%rbx)\nret")
-        assert flags_dead_after(block, len(block)) is False
-        assert flags_dead_after([], 0) is False
+        assert dead_after(block, len(block))[1] is False
+        assert dead_after([], 0)[1] is False
 
     def test_flags_mid_block_index_uses_suffix_terminator(self):
         block = self.block("mov %rax, (%rbx)\nmov %rbx, $2\njmp away")
         # The suffix ends in a plain jump, not the ABI boundary: live.
-        assert flags_dead_after(block, 1) is False
+        assert dead_after(block, 1)[1] is False
         ending = self.block("mov %rax, (%rbx)\nret")
-        assert flags_dead_after(ending, 1) is True  # suffix is just ret
+        assert dead_after(ending, 1)[1] is True  # suffix is just ret
 
     def test_dead_registers_empty_suffix(self):
         block = self.block("mov %rax, $5\nret")
-        assert dead_registers_after(block, len(block)) == frozenset()
+        assert dead_after(block, len(block))[0] == frozenset()
 
 
 class TestRewriterBasics:

@@ -247,3 +247,25 @@ def test_instrument_emits_phase_spans_and_table1_counters():
     paths = set(tele.span_paths())
     assert "instrument/checkgen" in paths
     assert "instrument/disasm" in paths
+
+
+def test_report_table1_block_has_every_elimination_row():
+    """``demo.c --preset fully`` exports ``checks.eliminated_range``; the
+    rendered Table-1 block must show it next to the other reasons."""
+    from pathlib import Path
+
+    from repro.telemetry.report import TABLE1_COUNTERS, render
+
+    demo = Path(__file__).resolve().parent.parent / "examples" / "demo.c"
+    program = compile_source(demo.read_text())
+    tele = Telemetry(meta={"kind": "harden", "input": "demo.c"})
+    RedFat(RedFatOptions.preset("fully"), telemetry=tele).instrument(
+        program.binary
+    )
+    document = json.loads(tele.to_json())
+    assert "checks.eliminated_range" in document["counters"]
+    text = render(document)
+    block = text.split("Table-1 counters:", 1)[1].split("counters:", 1)[0]
+    for name, label in TABLE1_COUNTERS:
+        assert label in block, f"missing Table-1 row for {name}"
+    assert "checks eliminated (range)" in block
